@@ -153,6 +153,17 @@ class FeedbackController:
         """Snapshot of app -> current allocation target (MB)."""
         return dict(self._sizes)
 
+    def hold(self, sizes: Dict[str, float]) -> None:
+        """Reset targets to sizes the runtime could actually place.
+
+        Anti-windup: when the LC targets outgrow the LLC the runtime
+        places smaller sizes, and targets left above them would keep
+        growing on feedback the allocation can no longer answer.
+        """
+        for app, size in sizes.items():
+            if app in self._sizes:
+                self._sizes[app] = size
+
     def deadline_of(self, app: str) -> float:
         """The registered deadline (cycles) for an app."""
         return self._deadlines[app]

@@ -111,6 +111,7 @@ def assign_banks_to_vms(
         + bank_ids
         for vm_id in order
     }
+    taken = np.iinfo(np.int64).max
     # Round-robin over VMs that still need banks.
     while free_count:
         progressed = False
@@ -120,7 +121,7 @@ def assign_banks_to_vms(
             if not free_count:
                 break
             keys = pick_keys[vm_id]
-            pick = int(np.argmin(np.where(free_mask, keys, np.iinfo(np.int64).max)))
+            pick = int(np.argmin(np.where(free_mask, keys, taken)))
             free_mask[pick] = False
             free_count -= 1
             banks_of[vm_id].append(pick)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional
 
 from .. import obs
+from ..errors import LlcFull
 from .allocation import Allocation
 from .context import PlacementContext
 
@@ -75,7 +76,7 @@ def _lat_crit_fast(
         if target <= 0:
             continue
         if target > ctx.config.llc_size_mb:
-            raise ValueError(
+            raise LlcFull(
                 f"{app}: target {target} MB exceeds LLC capacity"
             )
         tile = (
@@ -98,7 +99,7 @@ def _lat_crit_fast(
                 if isolate_vms:
                     bank_vm[bank] = vm_id
         if remaining > 1e-9:
-            raise ValueError(
+            raise LlcFull(
                 f"could not place {remaining:.3f} MB for {app}: LLC full"
             )
     return alloc

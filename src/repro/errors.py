@@ -36,6 +36,7 @@ __all__ = [
     "CacheCorrupt",
     "TelemetryInvalid",
     "AllocationInvalid",
+    "LlcFull",
     "PlacementFailed",
     "UnknownSession",
     "PayloadTooLarge",
@@ -150,6 +151,16 @@ class AllocationInvalid(ReproError, ValueError):
         self.bank = bank
         self.app = app
         self.vms = tuple(vms) if vms is not None else None
+
+
+class LlcFull(ReproError, ValueError):
+    """The LC sizing targets do not fit in the LLC.
+
+    Raised by LatCritPlacer when an LC app's target exceeds the LLC or
+    its share cannot be placed in banks it may use. The runtime answers
+    it by holding the over-target apps at their last placed sizes
+    (:meth:`repro.core.runtime.JumanjiRuntime.reconfigure`).
+    """
 
 
 class PlacementFailed(ReproError):

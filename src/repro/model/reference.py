@@ -46,6 +46,7 @@ from ..cache.misscurve import MissCurve
 from ..config import CORE_FREQ_HZ
 from ..core.allocation import Allocation
 from ..core.context import PlacementContext
+from ..errors import LlcFull
 from ..noc.mesh import MeshNoc
 from ..sim.queueing import LcRequestSimulator, QueueSimResult
 
@@ -376,7 +377,7 @@ def reference_lat_crit_placer(
         if target <= 0:
             continue
         if target > ctx.config.llc_size_mb:
-            raise ValueError(
+            raise LlcFull(
                 f"{app}: target {target} MB exceeds LLC capacity"
             )
         tile = (
@@ -399,7 +400,7 @@ def reference_lat_crit_placer(
                 if isolate_vms:
                     bank_vm[bank] = vm_id
         if remaining > 1e-9:
-            raise ValueError(
+            raise LlcFull(
                 f"could not place {remaining:.3f} MB for {app}: LLC full"
             )
     return alloc

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from ..sim.queueing import percentile
 from ..workloads.tailbench import lc_profile_names
 from .client import Client
-from .schema import CreateSessionRequest, TelemetryRequest
+from .schema import CreateSessionRequest, SessionInfo, TelemetryRequest
 
 __all__ = [
     "TenantScript",
@@ -51,6 +51,18 @@ class TenantScript:
     tenant: int
     create: CreateSessionRequest
     factors: Tuple[Tuple[float, ...], ...]
+
+    def telemetry(
+        self, info: SessionInfo, epoch: int
+    ) -> TelemetryRequest:
+        """Epoch ``epoch``'s samples for the session ``info`` describes."""
+        factors = self.factors[epoch]
+        return TelemetryRequest(
+            latencies={
+                app: tuple(info.deadlines[app] * f for f in factors)
+                for app in sorted(info.lc_instances)
+            }
+        )
 
 
 @dataclass
@@ -160,15 +172,8 @@ def _drive_tenant(
     try:
         info = client.create_session(script.create)
         lc_set = set(info.lc_instances)
-        for epoch, factors in enumerate(script.factors):
-            telemetry = TelemetryRequest(
-                latencies={
-                    app: tuple(
-                        info.deadlines[app] * f for f in factors
-                    )
-                    for app in sorted(lc_set)
-                }
-            )
+        for epoch in range(len(script.factors)):
+            telemetry = script.telemetry(info, epoch)
             start = time.perf_counter()
             decision = client.decide(info.session_id, telemetry)
             latencies.append(

@@ -143,7 +143,9 @@ class _Session:
 
     def decide(self, telemetry: TelemetryRequest) -> Decision:
         """One epoch: absorb telemetry, reconfigure, describe it."""
-        with self.lock:
+        with obs.span("serve.lock_wait", session=self.session_id):
+            self.lock.acquire()
+        try:
             for app in sorted(telemetry.latencies):
                 if app not in self.deadlines:
                     raise ConfigError(
@@ -183,6 +185,8 @@ class _Session:
                 degraded=bool(record.degraded),
                 memo_hit=bool(record.memo_hit),
             )
+        finally:
+            self.lock.release()
 
 
 class _Sweep:

@@ -87,6 +87,44 @@ class TestEvaluation:
             make_curve([2.0, 1.0]).marginal_utility(0.0, 0.0)
 
 
+class TestMissesAtManyEdges:
+    """``misses_at_many`` at the edges of its input domain."""
+
+    CURVE = MissCurve([8.0, 5.0, 3.0, 2.0, 1.5], 0.5)
+
+    def test_empty_input(self):
+        out = self.CURVE.misses_at_many([])
+        assert out.shape == (0,)
+        assert out.dtype == np.float64
+
+    def test_all_saturated(self):
+        # inf's int cast is invalid too; its slot is overwritten anyway.
+        with np.errstate(invalid="ignore"):
+            out = self.CURVE.misses_at_many([2.0, 2.5, 100.0, np.inf])
+        assert out.tolist() == [1.5, 1.5, 1.5, 1.5]
+
+    def test_exactly_at_last_sample(self):
+        edge = (self.CURVE.num_points - 1) * self.CURVE.step
+        out = self.CURVE.misses_at_many([edge, np.nextafter(edge, 0.0)])
+        assert out[0] == self.CURVE.values[-1]
+        assert out[0] == self.CURVE.misses_at(edge)
+        assert out[1] == self.CURVE.misses_at(float(np.nextafter(edge, 0)))
+
+    def test_negative_size_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            self.CURVE.misses_at_many([0.5, -1e-9])
+        with pytest.raises(ValueError, match="non-negative"):
+            self.CURVE.misses_at_many([np.nan, -1.0])
+
+    def test_nan_size_gives_nan(self):
+        # NaN passes the sign check (NaN < 0 is False) and interpolates
+        # to NaN; the other elements are unaffected.
+        with np.errstate(invalid="ignore"):
+            out = self.CURVE.misses_at_many([np.nan, 0.5, 0.75])
+        assert np.isnan(out[0])
+        assert out[1:].tolist() == [5.0, 4.0]
+
+
 class TestConvexHull:
     def test_convex_input_unchanged(self):
         values = [16.0, 8.0, 4.0, 2.0, 1.0]

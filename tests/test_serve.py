@@ -9,11 +9,17 @@ background sweeps, and the satellite API consolidation
 ``trace_from_spec``).
 """
 
+import dataclasses
 import http.client
 import json
+import socket
+import statistics
+import time
+import typing
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.errors import (
@@ -31,6 +37,7 @@ from repro.serve import (
     ServeDaemon,
     SessionInfo,
     SweepRequest,
+    SweepStatus,
     TelemetryRequest,
     status_for,
 )
@@ -126,6 +133,110 @@ class TestSchema:
         a = Decision(session_id="s0000", **base)
         b = Decision(session_id="s0001", **base)
         assert a.fingerprint() == b.fingerprint()
+
+
+def _oracle_canonical(value):
+    """The codec's original encoder, frozen as the byte-identity oracle."""
+    if isinstance(value, typing.Mapping):
+        return {
+            str(k): _oracle_canonical(value[k])
+            for k in sorted(value, key=str)
+        }
+    if isinstance(value, (list, tuple)):
+        return [_oracle_canonical(v) for v in value]
+    return value
+
+
+def _oracle_dict(msg):
+    return _oracle_canonical(dataclasses.asdict(msg))
+
+
+def _oracle_json(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+_names = st.text(min_size=1, max_size=8)
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_float_maps = st.dictionaries(_names, _floats, max_size=5)
+_name_tuples = st.lists(_names, max_size=4).map(tuple)
+
+_decisions = st.builds(
+    Decision,
+    session_id=_names,
+    epoch=st.integers(min_value=0),
+    lat_sizes=_float_maps,
+    allocation=st.dictionaries(
+        st.integers(0, 63).map(str), _float_maps, max_size=6
+    ),
+    shared_batch=_name_tuples,
+    invalidated_lines=st.integers(min_value=0),
+    degraded=st.booleans(),
+    memo_hit=st.booleans(),
+)
+_session_infos = st.builds(
+    SessionInfo,
+    session_id=_names,
+    design=_names,
+    lc_apps=_name_tuples,
+    lc_instances=_name_tuples,
+    deadlines=_float_maps,
+    load=st.sampled_from(["high", "low"]),
+    mix_seed=st.integers(min_value=0),
+    chip=st.sampled_from(["default", "small"]),
+    seed=st.integers(min_value=0),
+    epoch=st.integers(min_value=0),
+)
+_telemetry_requests = st.builds(
+    TelemetryRequest,
+    latencies=st.dictionaries(
+        _names,
+        st.lists(
+            st.one_of(st.integers(-10**6, 10**6), _floats), max_size=6
+        ).map(tuple),
+        max_size=4,
+    ),
+)
+_sweep_statuses = st.builds(
+    SweepStatus,
+    sweep_id=_names,
+    state=st.sampled_from(["running", "done", "failed"]),
+    completed=st.integers(min_value=0),
+    total=st.integers(min_value=0),
+    error=st.one_of(st.none(), st.text(max_size=12)),
+    gmean_speedups=_float_maps,
+)
+_messages = st.one_of(
+    _decisions, _session_infos, _telemetry_requests, _sweep_statuses
+)
+
+
+class TestCodecByteIdentity:
+    """The shallow codec encodes exactly what ``asdict`` + re-sort did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_messages)
+    def test_to_dict_and_to_json_match_oracle(self, msg):
+        expected = _oracle_dict(msg)
+        # repr pins key order and value types, and compares NaN.
+        assert repr(msg.to_dict()) == repr(expected)
+        assert msg.to_json() == _oracle_json(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_decisions)
+    def test_fingerprint_matches_oracle(self, decision):
+        payload = _oracle_dict(decision)
+        payload.pop("session_id")
+        assert decision.fingerprint() == _oracle_json(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_messages, st.text(min_size=1, max_size=8))
+    def test_unknown_key_is_still_named(self, msg, key):
+        cls = type(msg)
+        if key in {f.name for f in dataclasses.fields(cls)}:
+            key += "_x"
+        with pytest.raises(ConfigError) as info:
+            cls.from_dict(dict(msg.to_dict(), **{key: 1}))
+        assert repr(key) in str(info.value)
 
 
 # --------------------------------------------------------------------------
@@ -331,6 +442,122 @@ class TestHttp:
             assert "serve.decisions" in text
         finally:
             client.delete_session(info.session_id)
+
+
+class TestTransport:
+    """One segment per reply: no wait on the client's delayed ACK."""
+
+    def _request(self, path: str, body: bytes) -> bytes:
+        return (
+            f"POST {path} HTTP/1.1\r\nHost: localhost\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii") + body
+
+    def test_reply_arrives_in_one_recv(self, daemon, client):
+        info = client.create_session(_small_session())
+        try:
+            body = _telemetry(info, 1.0).to_json().encode("utf-8")
+            path = f"/v1/sessions/{info.session_id}/telemetry"
+            with socket.create_connection(
+                (daemon.host, daemon.port), timeout=10
+            ) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                sock.sendall(self._request(path, body))
+                data = sock.recv(1 << 16)
+            head, sep, payload = data.partition(b"\r\n\r\n")
+            assert sep, "header block split across segments"
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0].startswith("HTTP/1.1 200")
+            headers = dict(
+                line.split(": ", 1) for line in lines[1:]
+            )
+            assert len(payload) == int(headers["Content-Length"])
+            decision = Decision.from_dict(json.loads(payload))
+            assert decision.session_id == info.session_id
+        finally:
+            client.delete_session(info.session_id)
+
+    def test_sequential_decisions_do_not_stall(self, client):
+        # A delayed-ACK stall costs >= 40 ms per reply on Linux; a
+        # small-chip decision costs a few milliseconds.
+        info = client.create_session(_small_session())
+        try:
+            latencies = []
+            for i in range(30):
+                telemetry = _telemetry(info, 0.7 + 0.02 * i)
+                start = time.perf_counter()
+                client.decide(info.session_id, telemetry)
+                latencies.append((time.perf_counter() - start) * 1e3)
+        finally:
+            client.delete_session(info.session_id)
+        assert statistics.median(latencies) < 20.0, latencies
+
+    def test_stdlib_error_replies_are_flushed(self, daemon):
+        # send_error paths (an unsupported method, a malformed request
+        # line) write into the buffered wfile and close; finish() must
+        # still put the reply on the wire.
+        conn = http.client.HTTPConnection(
+            daemon.host, daemon.port, timeout=10
+        )
+        try:
+            conn.request("PUT", "/v1/health")
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 501
+        finally:
+            conn.close()
+        with socket.create_connection(
+            (daemon.host, daemon.port), timeout=10
+        ) as sock:
+            sock.sendall(b"NOT AN HTTP REQUEST\r\n\r\n")
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        assert b" 400 " in reply.split(b"\r\n", 1)[0]
+
+    def test_stage_spans_nest_in_the_request(self, client):
+        obs.configure(enabled=True)
+        info = client.create_session(_small_session())
+        try:
+            before = len(obs.events())
+            client.decide(info.session_id, _telemetry(info, 1.0))
+            # A reply is on the wire before its handler closes the write
+            # and request spans, so wait for the telemetry request's.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                spans = [
+                    e for e in obs.events()[before:]
+                    if e["type"] == "span" and e["name"].startswith("serve.")
+                ]
+                if spans and spans[-1]["name"] == "serve.request" and (
+                    spans[-1]["args"]["path"].endswith("/telemetry")
+                ):
+                    break
+                time.sleep(0.01)
+        finally:
+            client.delete_session(info.session_id)
+        # Drop the tail of the create-session request, which may close
+        # after ``before`` was taken.
+        requests = [
+            i for i, e in enumerate(spans) if e["name"] == "serve.request"
+        ]
+        if len(requests) > 1:
+            spans = spans[requests[-2] + 1:]
+        assert [e["name"] for e in spans] == [
+            "serve.parse",
+            "serve.lock_wait",
+            "serve.decide",
+            "serve.encode",
+            "serve.write",
+            "serve.request",
+        ]
+        request = spans[-1]
+        for span in spans[:-1]:
+            assert span["depth"] > request["depth"]
 
 
 # --------------------------------------------------------------------------
