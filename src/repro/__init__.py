@@ -68,7 +68,6 @@ from .model import (
     WorkloadSpec,
     compute_deadline_cycles,
     make_default_workload,
-    run_design,
     run_model,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "SystemModel",
     "RunResult",
     "run_model",
-    "run_design",
     "compute_deadline_cycles",
     "ReproError",
     "ConfigError",

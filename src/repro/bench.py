@@ -72,9 +72,12 @@ Seven suites:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import os
 import pathlib
+import statistics
 import tempfile
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -1016,7 +1019,7 @@ OBS_OVERHEAD_GATE = 0.02
 
 def run_obs_bench(
     epochs: Optional[int] = None,
-    repeats: int = 5,
+    repeats: int = 51,
     lc_workload: str = "xapian",
     load: str = "high",
     output: Optional[os.PathLike] = None,
@@ -1025,11 +1028,13 @@ def run_obs_bench(
 
     Three checks on the Fig. 13 epoch loop (Jumanji, one mix):
 
-    * **overhead** — interleaved min-of-``repeats`` timings of the
-      disabled-but-instrumented run against the same run with every
-      ``repro.obs`` hook swapped for a bare stub
-      (:func:`repro.obs.uninstrumented`); the ratio must stay within
-      :data:`OBS_OVERHEAD_GATE`.
+    * **overhead** — ``repeats`` pairs of the disabled-but-instrumented
+      run and the same run with every ``repro.obs`` hook swapped for a
+      bare stub (:func:`repro.obs.uninstrumented`); which side runs
+      first alternates from pair to pair, so host-speed drift within a
+      pair does not land on one side. The median of the per-pair
+      ratios must stay within :data:`OBS_OVERHEAD_GATE`; their
+      quartiles are reported as the spread.
     * **coverage** — an enabled run must produce every span in
       :data:`OBS_REQUIRED_SPANS` and write a loadable trace + metrics
       snapshot.
@@ -1045,8 +1050,8 @@ def run_obs_bench(
     from .model.workload import make_default_workload
     from .workloads.mixes import base_app
 
-    if repeats < 1:
-        raise ValueError("need at least one timing repeat")
+    if repeats < 2:
+        raise ValueError("need at least two timing pairs")
     epochs = epochs if epochs is not None else num_epochs()
     seed = run_seed(0, 0)
 
@@ -1068,20 +1073,33 @@ def run_obs_bench(
         )
     one_run()
 
+    def timed_run(stubbed: bool) -> float:
+        # As timeit does: collect first and keep the collector off while
+        # timing, so a collection owed to earlier allocations does not
+        # land on one side of a pair.
+        gc.collect()
+        gc.disable()
+        try:
+            with obs.uninstrumented() if stubbed else contextlib.nullcontext():
+                start = time.perf_counter()
+                one_run()
+                return time.perf_counter() - start
+        finally:
+            gc.enable()
+
     obs.reset()  # ensure disabled for the timing passes
     disabled_times: List[float] = []
     stub_times: List[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        one_run()
-        disabled_times.append(time.perf_counter() - start)
-        with obs.uninstrumented():
-            start = time.perf_counter()
-            one_run()
-            stub_times.append(time.perf_counter() - start)
-    min_disabled = min(disabled_times)
-    min_stub = min(stub_times)
-    overhead = min_disabled / min_stub - 1.0
+    for i in range(repeats):
+        if i % 2 == 0:
+            disabled_times.append(timed_run(stubbed=False))
+            stub_times.append(timed_run(stubbed=True))
+        else:
+            stub_times.append(timed_run(stubbed=True))
+            disabled_times.append(timed_run(stubbed=False))
+    overheads = [d / s - 1.0 for d, s in zip(disabled_times, stub_times)]
+    quartiles = statistics.quantiles(overheads, n=4, method="inclusive")
+    overhead = statistics.median(overheads)
     overhead_ok = overhead <= OBS_OVERHEAD_GATE
 
     # Coverage + determinism: two enabled same-seed runs.
@@ -1124,8 +1142,8 @@ def run_obs_bench(
         "overhead": {
             "disabled_seconds": disabled_times,
             "stub_seconds": stub_times,
-            "min_disabled_seconds": min_disabled,
-            "min_stub_seconds": min_stub,
+            "pair_overheads": overheads,
+            "overhead_quartiles": quartiles,
             "overhead": overhead,
             "gate": OBS_OVERHEAD_GATE,
             "ok": overhead_ok,
@@ -1161,10 +1179,11 @@ def cmd_obs_bench(args: argparse.Namespace) -> int:
         f"obs: {wl['design']}/{wl['lc_workload']}/{wl['load']}, "
         f"{wl['epochs']} epochs x {wl['repeats']} repeats"
     )
+    q1, _, q3 = oh["overhead_quartiles"]
     print(
-        f"  disabled overhead: {oh['overhead']:+.2%} "
-        f"(gate {oh['gate']:.0%}, min {oh['min_disabled_seconds']:.3f}s "
-        f"vs stub {oh['min_stub_seconds']:.3f}s)"
+        f"  disabled overhead: {oh['overhead']:+.2%} median of "
+        f"{wl['repeats']} pairs (gate {oh['gate']:.0%}, quartiles "
+        f"{q1:+.2%} / {q3:+.2%})"
     )
     print(
         f"  span coverage: {len(cov['spans'])} names, "

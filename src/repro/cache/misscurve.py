@@ -16,12 +16,30 @@ typically MB or ways) to a miss rate. The module also provides:
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["MissCurve", "combine_curves", "chain_argbest"]
+__all__ = ["MissCurve", "combine_curves"]
+
+#: Horizon scans each curve remembers, oldest evicted first. The placers
+#: revisit the same few dozen starts per curve (each app's size in each
+#: greedy round), so this serves the rescans of a static curve across
+#: rounds and epochs: a single app marching through a 4 MB LLC in
+#: 0.125 MB steps visits 32 starts per call.
+_SCAN_STORE_MAX = 32
+
+#: Serialises inserts and evictions on every curve's scan store. Reads
+#: are single ``dict.get`` calls and need no lock: an entry is a tuple
+#: built in full before it is stored, so a reader sees all of it or none.
+_SCAN_LOCK = threading.Lock()
+
+#: One stored scan, flat for compactness: its step, the horizon ``n`` it
+#: covered, then its strict prefix-max records as ``k, utils[k]`` pairs
+#: in increasing ``k``: ``(step, n, k0, u0, k1, u1, ...)``.
+_Scan = Tuple[float, ...]
 
 
 class MissCurve:
@@ -33,7 +51,7 @@ class MissCurve:
     ``0, step, 2*step, ..., (num_points-1)*step``.
     """
 
-    __slots__ = ("_values", "_step", "_fingerprint")
+    __slots__ = ("_values", "_step", "_fingerprint", "_scans")
 
     def __init__(self, values: Sequence[float], step: float = 1.0):
         arr = np.asarray(values, dtype=float)
@@ -49,6 +67,7 @@ class MissCurve:
         self._values = arr
         self._step = float(step)
         self._fingerprint: Optional[bytes] = None
+        self._scans: Optional[Dict[float, _Scan]] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -160,6 +179,77 @@ class MissCurve:
             raise ValueError("delta must be positive")
         return (self.misses_at(size) - self.misses_at(size + delta)) / delta
 
+    def best_horizon(
+        self, start: float, step: float, max_steps: int,
+        best_util: float = -1.0,
+    ) -> Tuple[float, int]:
+        """The Lookahead horizon scan from ``start``, with its tie-break.
+
+        Candidate ``k`` (``0 <= k < max_steps``) grows the allocation
+        from ``start`` by ``(k + 1) * step`` at an average marginal
+        utility of ``utils[k] = (m(start) - m(start + (k+1)*step)) /
+        ((k+1)*step)``. The placers accept a candidate with the
+        sequential rule ``if util > best_util + 1e-15``, chained from the
+        incoming ``best_util``. Returns ``(new_best_util, k)`` for the
+        last accepted candidate, or ``(best_util, -1)`` if none was.
+
+        That chain is not a plain argmax (the accepted maximum can trail
+        the true prefix maximum by up to ``1e-15`` per rejection), but
+        every accepted candidate is a strict prefix-max record of
+        ``utils``: any value ``v`` seen before an accepted ``u``
+        satisfies ``v <= accepted_max + 1e-15 < u``. So the scan keeps
+        only those records, and the exact scalar comparison is replayed
+        over them. ``utils`` is elementwise in ``k``, so a shorter
+        horizon's row is a prefix of a longer one and its records are
+        the longer row's records below the cut: a stored scan serves
+        every request at its step up to its horizon, whatever
+        ``best_util`` comes in. Scans are stored by start; a longer
+        request, or one at another step, rescans and replaces the entry.
+        """
+        if max_steps < 1:
+            return best_util, -1
+        scans = self._scans
+        scan = scans.get(start) if scans is not None else None
+        if scan is None or scan[0] != step or scan[1] < max_steps:
+            scan = self._scan_horizon(start, step, max_steps)
+        best_idx = -1
+        for i in range(2, len(scan), 2):
+            k = scan[i]
+            if k >= max_steps:
+                break
+            util = scan[i + 1]
+            if util > best_util + 1e-15:
+                best_util = util
+                best_idx = k
+        return best_util, best_idx
+
+    def _scan_horizon(self, start: float, step: float, n: int) -> _Scan:
+        """Scan ``n`` horizons from ``start`` and store the records."""
+        deltas = np.arange(1, n + 1, dtype=float) * step
+        utils = (
+            self.misses_at(start) - self.misses_at_many(start + deltas)
+        ) / deltas
+        # utils[k] is a record iff it beats every earlier value, i.e.
+        # iff the running max rises at k; the first value is one unless
+        # it is NaN or -inf. At a record the running max is utils[k].
+        running = np.maximum.accumulate(utils)
+        first = float(running[0])
+        flat: List[float] = [step, n]
+        if first > -np.inf:
+            flat += (0, first)
+        for k in (running[1:] > running[:-1]).nonzero()[0].tolist():
+            flat += (k + 1, float(running[k + 1]))
+        scan = tuple(flat)
+        with _SCAN_LOCK:
+            scans = self._scans
+            if scans is None:
+                scans = self._scans = {}
+            scans.pop(start, None)
+            scans[start] = scan
+            if len(scans) > _SCAN_STORE_MAX:
+                del scans[next(iter(scans))]
+        return scan
+
     # -- transformations ----------------------------------------------------
 
     def convex_hull(self) -> "MissCurve":
@@ -230,38 +320,6 @@ class MissCurve:
         return MissCurve(np.interp(grid, sizes[order], misses[order]), step)
 
 
-def chain_argbest(
-    utils: np.ndarray, best_util: float, eps: float = 1e-15
-) -> Tuple[float, int]:
-    """Replay the scalar tie-break chain over ``utils`` exactly.
-
-    The greedy placers pick candidates with the sequential rule
-    ``if util > best_util + eps: accept``. That chain cannot be replaced
-    by a plain argmax (the accepted maximum can trail the true prefix
-    maximum by up to ``eps`` per rejection), but every *accepted*
-    candidate is provably a strict prefix-max record: any value ``v``
-    seen before an accepted ``u`` satisfies ``v <= accepted_max + eps <
-    u``. So we find the strict records vectorised and replay the exact
-    python comparison only over those few indices.
-
-    Returns ``(new_best_util, accepted_index)`` where the index is the
-    last accepted candidate, or -1 if nothing beat ``best_util``.
-    """
-    if utils.size == 0:
-        return best_util, -1
-    running = np.maximum.accumulate(utils)
-    prev = np.empty_like(running)
-    prev[0] = -np.inf
-    prev[1:] = running[:-1]
-    best_idx = -1
-    for i in np.flatnonzero(utils > prev).tolist():
-        util = float(utils[i])
-        if util > best_util + eps:
-            best_util = util
-            best_idx = i
-    return best_util, best_idx
-
-
 #: Content-keyed cache for :func:`combine_curves`. The epoch loop
 #: recombines the same static VM curves every reconfiguration; keying on
 #: curve fingerprints makes that free while staying correct for drifting
@@ -322,14 +380,10 @@ def combine_curves(curves: Iterable[MissCurve]) -> MissCurve:
         best_app = -1
         best_util = -1.0
         best_k = 1
-        deltas = np.arange(1, remaining + 1, dtype=float) * step
         for i, curve in enumerate(curve_list):
-            # Vectorised horizon scan; chain_argbest replays the exact
-            # sequential tie-break of the scalar code.
-            utils = (
-                current[i] - curve.misses_at_many(allocs[i] + deltas)
-            ) / deltas
-            best_util, idx = chain_argbest(utils, best_util)
+            best_util, idx = curve.best_horizon(
+                allocs[i], step, remaining, best_util
+            )
             if idx >= 0:
                 best_app = i
                 best_k = idx + 1

@@ -17,39 +17,12 @@ requires.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Mapping, Optional
 
 from .. import obs
-from ..cache.misscurve import MissCurve, chain_argbest
+from ..cache.misscurve import MissCurve
 
 __all__ = ["lookahead", "jumanji_lookahead"]
-
-
-def _best_step(
-    curve: MissCurve, current: float, budget: float, step: float
-) -> Tuple[float, float]:
-    """Best (utility-per-unit, size-delta) reachable from ``current``.
-
-    Scans look-ahead horizons of 1..k steps (k limited by ``budget``) and
-    returns the horizon with maximal average marginal utility. This is
-    the maximal-marginal-utility scan at the heart of UCP Lookahead.
-    The horizon evaluation is vectorised over the curve; the sequential
-    scan below keeps the scalar code's exact tie-breaking.
-    """
-    max_steps = int(budget / step + 1e-9)
-    best_util = -1.0
-    best_delta = 0.0
-    if max_steps < 1:
-        return best_util, best_delta
-    base = curve.misses_at(current)
-    deltas = np.arange(1, max_steps + 1, dtype=float) * step
-    utils = (base - curve.misses_at_many(current + deltas)) / deltas
-    best_util, idx = chain_argbest(utils, best_util)
-    if idx >= 0:
-        best_delta = float(deltas[idx])
-    return best_util, best_delta
 
 
 def lookahead(
@@ -85,35 +58,21 @@ def lookahead(
     if remaining < -1e-9:
         raise ValueError("minimums exceed capacity")
 
-    # Round-to-round memo of each app's _best_step result. Only the
-    # winning app's size changes between rounds, and the budget only
-    # shrinks; a cached (util, delta) stays the maximum over the
-    # shrunken horizon as long as its own horizon still fits (a max
-    # attained inside a prefix is the prefix's max, and a no-benefit
-    # verdict over a longer horizon covers every shorter one). The
-    # winner's entry is dropped, so its scan reruns from its new size —
-    # the values compared each round are bit-identical to a full rescan.
-    best_cache: Dict[str, Tuple[float, float, int]] = {}
+    # Each app's best horizon is the maximal-marginal-utility scan at
+    # the heart of UCP Lookahead. Only the winner's size changes between
+    # rounds, so every other app's rescan replays the records its curve
+    # already stored (MissCurve.best_horizon).
     while remaining >= step - 1e-12:
         best_app = None
         best_util = -1.0
-        best_delta = 0.0
+        best_k = 0
         max_steps = int(remaining / step + 1e-9)
         for app, curve in curves.items():
-            hit = best_cache.get(app)
-            if hit is not None and hit[2] <= max_steps:
-                util, delta = hit[0], hit[1]
-            else:
-                util, delta = _best_step(
-                    curve, sizes[app], remaining, step
-                )
-                best_cache[app] = (
-                    util, delta, int(delta / step + 1e-9)
-                )
-            if delta > 0 and util > best_util + 1e-15:
+            util, idx = curve.best_horizon(sizes[app], step, max_steps)
+            if idx >= 0 and util > best_util + 1e-15:
                 best_util = util
                 best_app = app
-                best_delta = delta
+                best_k = idx + 1
         if best_app is None:
             break
         if best_util <= 0:
@@ -124,9 +83,9 @@ def lookahead(
                 sizes[app] += share
             remaining = 0.0
             break
+        best_delta = best_k * step
         sizes[best_app] += best_delta
         remaining -= best_delta
-        best_cache.pop(best_app, None)
     if remaining > 1e-12 and sizes:
         steepest = max(
             curves,
@@ -206,13 +165,10 @@ def _jumanji_lookahead_impl(
         best_vm = None
         best_util = -1.0
         best_banks = 0
-        deltas = np.arange(1, remaining + 1, dtype=float) * bank_mb
         for vm in vms:
-            cur = batch_mb(vm, banks_of[vm])
-            curve = vm_curves[vm]
-            base = curve.misses_at(cur)
-            utils = (base - curve.misses_at_many(cur + deltas)) / deltas
-            best_util, idx = chain_argbest(utils, best_util)
+            best_util, idx = vm_curves[vm].best_horizon(
+                batch_mb(vm, banks_of[vm]), bank_mb, remaining, best_util
+            )
             if idx >= 0:
                 best_vm = vm
                 best_banks = idx + 1

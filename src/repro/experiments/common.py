@@ -44,7 +44,6 @@ __all__ = [
     "num_mixes",
     "num_epochs",
     "run_seed",
-    "run_workload",
     "run_sweep",
     "cached_workload_outcome",
     "baseline_cell",
@@ -297,42 +296,6 @@ def _run_workload(
         avg_lc_size_mb=result.avg_lc_size(),
     )
     return outcome, result, dict(baseline_ipcs)
-
-
-def run_workload(
-    design: str,
-    lc_workload: str,
-    load: str,
-    mix_seed: int,
-    epochs: Optional[int] = None,
-    config: Optional[SystemConfig] = None,
-    baseline_ipcs: Optional[Mapping[str, float]] = None,
-    base_seed: int = 0,
-    engine: str = Engine.BATCH,
-    **design_kwargs,
-) -> Tuple[WorkloadOutcome, RunResult, Dict[str, float]]:
-    """Deprecated alias for :func:`repro.model.api.run_model`.
-
-    Use ``run_model(design=..., lc_workload=...)``; this wrapper warns
-    once per process and delegates unchanged.
-    """
-    from ..model._deprecation import warn_once
-
-    warn_once(
-        "run_workload", "run_model(design=..., lc_workload=...)"
-    )
-    return _run_workload(
-        design,
-        lc_workload,
-        load,
-        mix_seed,
-        epochs=epochs,
-        config=config,
-        baseline_ipcs=baseline_ipcs,
-        base_seed=base_seed,
-        engine=engine,
-        **design_kwargs,
-    )
 
 
 # -- sweep cells (see repro.runner) ------------------------------------------

@@ -8,7 +8,6 @@ from .system import (
     RunResult,
     SystemModel,
     compute_deadline_cycles,
-    run_design,
 )
 from .workload import WorkloadSpec, make_default_workload
 
@@ -26,5 +25,4 @@ __all__ = [
     "EpochMetrics",
     "compute_deadline_cycles",
     "run_model",
-    "run_design",
 ]

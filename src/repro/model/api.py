@@ -1,12 +1,9 @@
 """The unified model entry point: one call, ``engine=`` dispatch.
 
-Historically the package grew three overlapping front doors —
-``run_design`` (one workload), ``run_design_batch`` (many workloads,
-fused engine), and ``experiments.common.run_workload`` (a named LC
-workload plus the speedup/tail/energy bookkeeping of a sweep cell).
-:func:`run_model` consolidates them behind one keyword-only signature;
-the old names remain as thin deprecated aliases that warn once per
-process.
+:func:`run_model` is the package's one front door to the analytic
+model: one workload, many workloads through the fused batch engine, or
+a named LC workload plus the speedup/tail/energy bookkeeping of a
+sweep cell, behind one keyword-only signature.
 
 Exactly one of ``workload`` / ``workloads`` / ``lc_workload`` selects
 the mode, and the return type follows it:

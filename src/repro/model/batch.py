@@ -30,7 +30,7 @@ from ..sim.queueing import run_epoch_batch
 from .system import RunResult, SystemModel
 from .workload import WorkloadSpec
 
-__all__ = ["BatchStageTimes", "BatchSystemModel", "run_design_batch"]
+__all__ = ["BatchStageTimes", "BatchSystemModel"]
 
 
 @dataclass
@@ -196,33 +196,3 @@ def _run_design_batch(
         **design_kwargs,
     )
     return model.run(num_epochs)
-
-
-def run_design_batch(
-    design_name: str,
-    workloads: Sequence[WorkloadSpec],
-    num_epochs: int = 20,
-    seeds: Optional[Sequence[int]] = None,
-    controller_config: Optional[ControllerConfig] = None,
-    engine: str = Engine.BATCH,
-    **design_kwargs,
-) -> List[RunResult]:
-    """Deprecated alias for :func:`repro.model.api.run_model`.
-
-    Use ``run_model(design=..., workloads=...)``; this wrapper warns
-    once per process and delegates unchanged.
-    """
-    from ._deprecation import warn_once
-
-    warn_once(
-        "run_design_batch", "run_model(design=..., workloads=...)"
-    )
-    return _run_design_batch(
-        design_name,
-        workloads,
-        num_epochs=num_epochs,
-        seeds=seeds,
-        controller_config=controller_config,
-        engine=engine,
-        **design_kwargs,
-    )

@@ -68,7 +68,6 @@ __all__ = [
     "SystemModel",
     "compute_deadline_cycles",
     "deadline_cache_info",
-    "run_design",
 ]
 
 
@@ -631,31 +630,3 @@ def _run_design(
         engine=engine,
     )
     return model.run(num_epochs)
-
-
-def run_design(
-    design_name: str,
-    workload: WorkloadSpec,
-    num_epochs: int = 20,
-    seed: int = 0,
-    controller_config: Optional[ControllerConfig] = None,
-    engine: str = "fast",
-    **design_kwargs,
-) -> RunResult:
-    """Deprecated alias for :func:`repro.model.api.run_model`.
-
-    Use ``run_model(design=..., workload=...)``; this wrapper warns
-    once per process and delegates unchanged.
-    """
-    from ._deprecation import warn_once
-
-    warn_once("run_design", "run_model(design=..., workload=...)")
-    return _run_design(
-        design_name,
-        workload,
-        num_epochs=num_epochs,
-        seed=seed,
-        controller_config=controller_config,
-        engine=engine,
-        **design_kwargs,
-    )

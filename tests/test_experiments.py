@@ -21,11 +21,8 @@ from repro.experiments import (
     fig18,
     tables,
 )
-from repro.experiments.common import (
-    box_stats,
-    run_sweep,
-    run_workload,
-)
+from repro.experiments.common import box_stats, run_sweep
+from repro.model.api import run_model
 from repro.sim.attack import PortAttackConfig
 
 
@@ -42,13 +39,14 @@ class TestCommon:
             box_stats([])
 
     def test_run_workload_reuses_baseline(self):
-        outcome, _result, baseline = run_workload(
-            "Jumanji", "xapian", "high", 0, epochs=6
+        outcome, _result, baseline = run_model(
+            design="Jumanji", lc_workload="xapian", load="high",
+            mix_seed=0, epochs=6,
         )
         assert outcome.speedup > 0
-        outcome2, _r, _b = run_workload(
-            "Jumanji", "xapian", "high", 0, epochs=6,
-            baseline_ipcs=baseline,
+        outcome2, _r, _b = run_model(
+            design="Jumanji", lc_workload="xapian", load="high",
+            mix_seed=0, epochs=6, baseline_ipcs=baseline,
         )
         assert outcome2.speedup == pytest.approx(outcome.speedup)
 

@@ -1,10 +1,14 @@
 """Tests for miss curves: evaluation, hulls, and combination."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.misscurve import MissCurve, combine_curves
+from repro.cache.misscurve import _SCAN_STORE_MAX, MissCurve, combine_curves
 
 
 def make_curve(values, step=1.0):
@@ -260,3 +264,197 @@ class TestCombineCurves:
         # At zero allocation it equals the sum of zero-size misses.
         top = sum(c.misses_at(0.0) for c in curves)
         assert combined.misses_at(0.0) == pytest.approx(top)
+
+
+# --------------------------------------------------------------------------
+# MissCurve.best_horizon: the memoised horizon scan against a frozen oracle
+# --------------------------------------------------------------------------
+
+
+def _oracle_chain_argbest(utils, best_util, eps=1e-15):
+    """The placers' vectorised tie-break chain, frozen as the oracle."""
+    if utils.size == 0:
+        return best_util, -1
+    running = np.maximum.accumulate(utils)
+    prev = np.empty_like(running)
+    prev[0] = -np.inf
+    prev[1:] = running[:-1]
+    best_idx = -1
+    for i in np.flatnonzero(utils > prev).tolist():
+        util = float(utils[i])
+        if util > best_util + eps:
+            best_util = util
+            best_idx = i
+    return best_util, best_idx
+
+
+def _oracle_utils(curve, start, step, max_steps):
+    """Unmemoised horizon row: the expression the placers inlined."""
+    deltas = np.arange(1, max_steps + 1, dtype=float) * step
+    return (
+        curve.misses_at(start) - curve.misses_at_many(start + deltas)
+    ) / deltas
+
+
+def _oracle(curve, start, step, max_steps, best_util):
+    if max_steps < 1:
+        return best_util, -1
+    utils = _oracle_utils(curve, start, step, max_steps)
+    return _oracle_chain_argbest(utils, best_util)
+
+
+@st.composite
+def _shaped_curves(draw):
+    """Random monotone, flat, cliff and early-saturating curves."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    step = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0]))
+    kind = draw(st.sampled_from(["monotone", "flat", "cliff", "saturated"]))
+    level = st.floats(min_value=0.0, max_value=50.0)
+    if kind == "monotone":
+        values = sorted(draw(st.lists(level, min_size=n, max_size=n)),
+                        reverse=True)
+    elif kind == "flat":
+        values = [draw(level)] * n
+    elif kind == "cliff":
+        at = draw(st.integers(min_value=1, max_value=n - 1))
+        high, low = draw(level), draw(level)
+        values = [max(high, low)] * at + [min(high, low)] * (n - at)
+    else:
+        knee = draw(st.integers(min_value=1, max_value=n - 1))
+        top = draw(level)
+        values = [top * (1 - i / knee) for i in range(knee)]
+        values += [0.0] * (n - knee)
+    return MissCurve(values, step)
+
+
+@st.composite
+def _scan_cases(draw):
+    curve = draw(_shaped_curves())
+    step = curve.step * draw(st.sampled_from([1.0, 0.5, 2.0, 1.5, 3.7]))
+    bank_mb = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    lat = draw(st.floats(min_value=0.0, max_value=bank_mb * 0.99))
+    start = draw(st.sampled_from([
+        0.0,
+        curve.step * draw(st.integers(0, curve.num_points - 1)),
+        # Jumanji's off-grid batch starts: whole banks minus an LC share.
+        max(draw(st.integers(1, 4)) * bank_mb - lat, 0.0),
+        curve.max_size,
+        curve.max_size + draw(st.sampled_from([step, 0.3, 10.0])),
+    ]))
+    longest = draw(st.integers(min_value=1, max_value=60))
+    pattern = draw(st.sampled_from(
+        ["shrinking", "growing", "repeated", "one", "random"]
+    ))
+    if pattern == "shrinking":
+        steps = list(range(longest, 0, -max(1, longest // 5)))
+    elif pattern == "growing":
+        steps = list(range(1, longest + 1, max(1, longest // 5)))
+    elif pattern == "repeated":
+        steps = [longest] * 3
+    elif pattern == "one":
+        steps = [1, 1]
+    else:
+        steps = draw(st.lists(st.integers(1, 60), min_size=1, max_size=6))
+    return curve, start, step, steps
+
+
+class _YieldingDict(dict):
+    def __delitem__(self, key):
+        time.sleep(0)
+        super().__delitem__(key)
+
+
+class TestBestHorizon:
+    @given(_scan_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unmemoised_scan(self, case, data):
+        curve, start, step, steps = case
+        for max_steps in steps:
+            utils = _oracle_utils(curve, start, step, max_steps)
+            near = float(utils[data.draw(st.integers(0, max_steps - 1))])
+            incoming = data.draw(st.sampled_from([
+                -1.0, 0.0, near, near - 1e-15, near - 5e-16,
+                np.nextafter(near - 1e-15, np.inf),
+                np.nextafter(near - 1e-15, -np.inf),
+            ]))
+            expected = _oracle(curve, start, step, max_steps, incoming)
+            got = curve.best_horizon(start, step, max_steps, incoming)
+            assert got == expected
+            assert type(got[1]) is int
+
+    def test_best_delta_is_the_scan_delta(self):
+        curve = MissCurve([9.0, 9.0, 9.0, 1.0, 0.5], 0.25)
+        util, idx = curve.best_horizon(0.0, 0.25, 4)
+        deltas = np.arange(1, 5, dtype=float) * 0.25
+        assert (idx + 1) * 0.25 == float(deltas[idx])
+        assert (util, idx) == _oracle(curve, 0.0, 0.25, 4, -1.0)
+
+    def test_other_step_at_a_stored_start(self):
+        curve = MissCurve([9.0, 9.0, 4.0, 3.5, 1.0, 0.5, 0.0], 0.5)
+        for step, max_steps in [(0.5, 6), (1.0, 3), (0.5, 2), (1.0, 1)]:
+            assert curve.best_horizon(0.5, step, max_steps) == _oracle(
+                curve, 0.5, step, max_steps, -1.0
+            )
+
+    def test_no_horizon_keeps_incoming_best(self):
+        curve = MissCurve([3.0, 1.0])
+        assert curve.best_horizon(0.0, 1.0, 0, 0.5) == (0.5, -1)
+
+    def test_negative_start_raises(self):
+        curve = MissCurve([3.0, 2.0, 1.0])
+        curve.best_horizon(0.0, 1.0, 2)
+        with pytest.raises(ValueError):
+            curve.best_horizon(-0.5, 1.0, 2)
+
+    def test_store_is_bounded_and_exact_after_eviction(self):
+        curve = MissCurve(np.linspace(40.0, 0.0, 64) ** 2 / 40.0, 0.5)
+        starts = [0.5 * i + 0.1 for i in range(3 * _SCAN_STORE_MAX)]
+        for start in starts:
+            curve.best_horizon(start, 0.5, 20)
+            assert len(curve._scans) <= _SCAN_STORE_MAX
+        for start in starts:
+            assert curve.best_horizon(start, 0.5, 20) == _oracle(
+                curve, start, 0.5, 20, -1.0
+            )
+
+    def test_concurrent_scans_of_one_curve(self):
+        curve = MissCurve(np.linspace(40.0, 0.0, 64) ** 2 / 40.0, 0.5)
+        # A store that yields the GIL inside every eviction, so an
+        # unserialised evict-and-insert would race on the same key.
+        curve._scans = _YieldingDict()
+        starts = [0.25 * i for i in range(4 * _SCAN_STORE_MAX)]
+        expected = {
+            (s, m): _oracle(curve, s, 0.5, m, -1.0)
+            for s in starts for m in (5, 30)
+        }
+        barrier = threading.Barrier(4, timeout=60)
+        errors = []
+        results = [[] for _ in range(4)]
+
+        def work(t):
+            try:
+                barrier.wait()
+                for _ in range(20):
+                    for s in starts[t::2] + starts[::-3]:
+                        for m in (30, 5):
+                            got = curve.best_horizon(s, 0.5, m)
+                            results[t].append(got == expected[(s, m)])
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(t,)) for t in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(r and all(r) for r in results)
+        assert len(curve._scans) <= _SCAN_STORE_MAX

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.designs import make_design
-from repro.model.batch import BatchSystemModel, run_design_batch
+from repro.model.api import run_model
+from repro.model.batch import BatchSystemModel
 from repro.model.system import SystemModel
 from repro.model.workload import make_default_workload
 from repro.sim.queueing import LcRequestSimulator, run_epoch_batch
@@ -216,8 +217,9 @@ class TestBatchSystemModel:
             BatchSystemModel("Static", _workloads([0, 1]), seeds=[1])
 
     def test_run_design_batch_convenience(self):
-        got = run_design_batch(
-            "Static", _workloads([0, 1]), seeds=[7, 8], num_epochs=2
+        got = run_model(
+            design="Static", workloads=_workloads([0, 1]), seeds=[7, 8],
+            epochs=2,
         )
         for m, seed, res in zip([0, 1], [7, 8], got):
             solo = SystemModel(

@@ -4,8 +4,7 @@ Covers the schema layer (canonical JSON round-trips, strict
 unknown-key rejection), the in-process service registry, the HTTP
 daemon's error mapping (400/404/413 with the ``repro.errors`` class
 named in the body), concurrent-session isolation, loadgen determinism,
-background sweeps, and the satellite API consolidation
-(``run_model`` + warn-once deprecated aliases, strict
+background sweeps, and the API consolidation (``run_model``, strict
 ``trace_from_spec``).
 """
 
@@ -16,7 +15,6 @@ import socket
 import statistics
 import time
 import typing
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -665,7 +663,7 @@ class TestSweeps:
 
 
 # --------------------------------------------------------------------------
-# satellite: run_model consolidation + deprecated aliases
+# satellite: run_model consolidation
 # --------------------------------------------------------------------------
 
 
@@ -684,64 +682,6 @@ class TestRunModel:
                 design="Static", workload=workload,
                 lc_workload="xapian",
             )
-
-    def test_matches_deprecated_alias_and_warns_once(self):
-        from repro.model._deprecation import reset_warnings
-        from repro.model.api import run_model
-        from repro.model.system import run_design
-        from repro.model.workload import make_default_workload
-
-        workload = make_default_workload(["xapian"], mix_seed=0,
-                                         load="high")
-        new = run_model(
-            design="Static", workload=workload, epochs=2, seed=0
-        )
-        reset_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            old = run_design("Static", workload, num_epochs=2, seed=0)
-            run_design("Static", workload, num_epochs=2, seed=0)
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1  # warns once per process
-        assert "run_model" in str(deprecations[0].message)
-        assert new.batch_ipcs() == old.batch_ipcs()
-        assert {
-            app: new.lc_tail_normalized(app)
-            for app in new.lc_deadlines
-        } == {
-            app: old.lc_tail_normalized(app)
-            for app in old.lc_deadlines
-        }
-
-    def test_batch_mode_matches_alias(self):
-        from repro.model._deprecation import reset_warnings
-        from repro.model.api import run_model
-        from repro.model.batch import run_design_batch
-        from repro.model.workload import make_default_workload
-
-        workloads = [
-            make_default_workload(["xapian"], mix_seed=m, load="high")
-            for m in range(2)
-        ]
-        new = run_model(
-            design="Jumanji", workloads=workloads, epochs=2,
-            seeds=[0, 1],
-        )
-        reset_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            old = run_design_batch(
-                "Jumanji", workloads, num_epochs=2, seeds=[0, 1]
-            )
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert [r.batch_ipcs() for r in new] == [
-            r.batch_ipcs() for r in old
-        ]
 
     def test_lc_workload_mode_rejects_batch_only_kwargs(self):
         from repro.model.api import run_model
