@@ -371,7 +371,11 @@ class TestBestHorizon:
         curve, start, step, steps = case
         for max_steps in steps:
             utils = _oracle_utils(curve, start, step, max_steps)
-            near = float(utils[data.draw(st.integers(0, max_steps - 1))])
+            running = np.maximum.accumulate(utils)
+            records = [0] + [
+                k for k in range(1, max_steps) if utils[k] > running[k - 1]
+            ]
+            near = float(utils[data.draw(st.sampled_from(records))])
             incoming = data.draw(st.sampled_from([
                 -1.0, 0.0, near, near - 1e-15, near - 5e-16,
                 np.nextafter(near - 1e-15, np.inf),
