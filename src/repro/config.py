@@ -199,12 +199,15 @@ class Engine:
     """The implementations every dual-engine entry point accepts.
 
     ``"fast"`` selects the vectorised kernels (numpy placers, batched
-    queueing RNG, memoisation); ``"reference"`` selects the frozen
-    scalar copies in :mod:`repro.model.reference` and
-    :mod:`repro.sim.reference`; ``"batch"`` is the fast engine plus the
-    multi-mix batch axis (one Lindley scan advances every mix's queue,
-    sub-epoch value-keyed memoisation — see :mod:`repro.model.batch`).
-    All are differentially tested to be bit-identical.
+    queueing RNG, memoisation) and the dense banks x apps allocation
+    matrix (:class:`repro.core.allocation.Allocation`); ``"reference"``
+    selects the frozen scalar copies in :mod:`repro.model.reference`
+    and :mod:`repro.sim.reference` and the dict-of-dicts allocation
+    oracle (:mod:`repro.model.reference_allocation`); ``"batch"`` is
+    the fast engine plus the multi-mix batch axis (one Lindley scan
+    advances every mix's queue, sub-epoch value-keyed memoisation —
+    see :mod:`repro.model.batch`). All are differentially tested to be
+    bit-identical.
     ``PlacementContext.engine``, ``SystemModel(engine=...)``, and the
     trace-sim cells all validate through :meth:`validate`, so an
     unknown literal fails the same way everywhere.

@@ -74,19 +74,23 @@ class PlacementContext:
     # -- allocation construction ----------------------------------------------------
 
     def new_allocation(self, partition_mode: str = "per-app") -> "Allocation":
-        """A fresh :class:`~repro.core.allocation.Allocation` for this
-        context's engine.
+        """A fresh, empty allocation of the class this context's engine
+        uses.
 
-        Accelerated engines get an allocation with incremental bank
-        totals and derived-stat memos enabled; the reference engine gets
-        the plain recompute-everything object.
+        The accelerated engines get the dense banks x apps matrix,
+        :class:`~repro.core.allocation.Allocation`; the reference engine
+        gets the frozen dict-of-dicts oracle,
+        :class:`~repro.model.reference_allocation.ReferenceAllocation`.
+        The two answer every query identically.
         """
-        from .allocation import Allocation
+        if Engine.accelerated(self.engine):
+            from .allocation import Allocation
 
-        return Allocation(
-            self.config,
-            partition_mode=partition_mode,
-            accelerated=Engine.accelerated(self.engine),
+            return Allocation(self.config, partition_mode=partition_mode)
+        from ..model.reference_allocation import ReferenceAllocation
+
+        return ReferenceAllocation(
+            self.config, partition_mode=partition_mode
         )
 
     # -- convenience views --------------------------------------------------------

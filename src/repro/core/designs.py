@@ -69,19 +69,13 @@ class LlcDesign:
             if size <= 0:
                 continue
             per_bank = size / n
-            if alloc.accelerated:
-                # A bank's free space only depends on *earlier apps'*
-                # grants there, so the whole stripe can be computed
-                # up-front and bulk-added — same values, same order.
-                alloc.add_stripe(app, [
-                    min(per_bank, free)
-                    for free in alloc.bank_free_all()
-                ])
-                continue
-            for bank in range(n):
-                grab = min(per_bank, alloc.bank_free(bank))
-                if grab > 0:
-                    alloc.add(bank, app, grab)
+            # A bank's free space only depends on *earlier apps'*
+            # grants there, so the whole stripe can be computed
+            # up-front. A bank over-filled by rounding gets nothing.
+            alloc.add_stripe(app, [
+                max(min(per_bank, free), 0.0)
+                for free in alloc.bank_free_all()
+            ])
 
     def _spread_batch_shared(
         self, ctx: PlacementContext, alloc: Allocation
@@ -100,26 +94,16 @@ class LlcDesign:
         free = alloc.bank_free_all()
         weights = {a: max(ctx.apps[a].intensity, 1e-9) for a in batch}
         total_w = sum(weights.values())
-        if alloc.accelerated:
-            # Shares are computed from the pre-spread free snapshot, so
-            # they don't depend on add order; striping app-by-app
-            # appends apps to each bank's map in the same order the
-            # bank-by-bank loop does.
-            for app in batch:
-                w = weights[app]
-                alloc.add_stripe(app, [
-                    free_mb * w / total_w if free_mb > 0 else 0.0
-                    for free_mb in free
-                ])
-            alloc.shared_batch.update(batch)
-            return
-        for bank, free_mb in enumerate(free):
-            if free_mb <= 0:
-                continue
-            for app in batch:
-                share = free_mb * weights[app] / total_w
-                if share > 0:
-                    alloc.add(bank, app, share)
+        # Shares come from the pre-spread free snapshot, so they don't
+        # depend on add order; striping app by app appends apps to each
+        # bank in the same order a bank-by-bank loop would.
+        alloc.add_stripes(batch, [
+            [
+                free_mb * weights[app] / total_w if free_mb > 0 else 0.0
+                for free_mb in free
+            ]
+            for app in batch
+        ])
         alloc.shared_batch.update(batch)
 
 
@@ -141,8 +125,7 @@ class StaticDesign(LlcDesign):
         lc_mb = cfg.llc_size_mb * self.lc_ways / cfg.llc_bank_ways
         per_bank = lc_mb / cfg.num_banks
         for app in ctx.lc_apps:
-            for bank in range(cfg.num_banks):
-                alloc.add(bank, app, per_bank)
+            alloc.add_stripe(app, [per_bank] * cfg.num_banks)
         self._spread_batch_shared(ctx, alloc)
         return alloc
 
@@ -220,12 +203,18 @@ class VmPartDesign(LlcDesign):
                 for a in vm.batch_apps
             }
             total_w = sum(weights.values())
-            for bank in range(n):
-                bank_share = min(vm_mb / n, alloc.bank_free(bank))
-                for app in vm.batch_apps:
-                    mb = bank_share * weights[app] / total_w
-                    if mb > 0:
-                        alloc.add(bank, app, mb)
+            # Each bank's free space depends only on earlier grants
+            # there, so the VM's shares can be computed up-front;
+            # striping app by app appends the VM's apps to every bank
+            # in the same order as a bank-by-bank loop.
+            shares = [
+                max(min(vm_mb / n, free), 0.0)
+                for free in alloc.bank_free_all()
+            ]
+            alloc.add_stripes(vm.batch_apps, [
+                [share * weights[app] / total_w for share in shares]
+                for app in vm.batch_apps
+            ])
         return alloc
 
 

@@ -126,7 +126,7 @@ def find_trades(
             continue
         lc_tile = ctx.tile_of(lc_app)
         for bank_from in alloc.app_banks(lc_app):
-            moved = min(chunk_mb, alloc.allocs[bank_from][lc_app])
+            moved = min(chunk_mb, alloc.get(bank_from, lc_app))
             # Candidate batch beneficiaries: same VM, currently farther
             # from this bank than their average placement.
             vm_id = vm_map[lc_app]
@@ -209,17 +209,13 @@ def apply_trades(
     """
     applied = 0
     for trade in trades:
-        current = alloc.allocs.get(trade.bank_from, {}).get(
-            trade.lc_app, 0.0
-        )
+        current = alloc.get(trade.bank_from, trade.lc_app)
         if current < trade.moved_mb - 1e-9:
             continue
         if alloc.bank_free(trade.bank_to) < trade.moved_mb:
             continue
         # Move the LC chunk.
-        alloc.allocs[trade.bank_from][trade.lc_app] = (
-            current - trade.moved_mb
-        )
+        alloc.remove(trade.bank_from, trade.lc_app, trade.moved_mb)
         alloc.add(trade.bank_to, trade.lc_app, trade.moved_mb)
         # Hand the vacated space to the batch beneficiary.
         alloc.add(trade.bank_from, trade.batch_app, trade.moved_mb)

@@ -63,7 +63,7 @@ def potential_attackers_per_access(
         victim_vm = vm_of_app[victim]
         exposure = 0.0
         for bank in alloc.app_banks(victim):
-            frac = alloc.allocs[bank].get(victim, 0.0) / size
+            frac = alloc.get(bank, victim) / size
             attackers = sum(
                 1
                 for other, vm in residents.get(bank, {}).items()
@@ -84,40 +84,39 @@ def potential_attackers_per_access_fast(
 ) -> float:
     """Accelerated-engine copy of :func:`potential_attackers_per_access`.
 
-    Bit-identical restructure: attacker counts are integers (precomputed
-    per bank and VM in one sweep), and the per-victim accumulations run
-    as ``np.cumsum`` rows. ``cumsum`` accumulates strictly left-to-right
-    — unlike ``np.sum``'s pairwise tree — so each row replays exactly
-    the scalar implementation's addition order; zero-MB terms contribute
-    ``+0.0``, which cannot change a non-negative running sum. The scalar
-    version above stays the frozen reference.
+    Bit-identical restructure over the dense allocation matrix
+    (:meth:`~repro.core.allocation.Allocation.grant_matrix`): attacker
+    counts are integers (precomputed per bank and VM in one sweep), and
+    the per-victim accumulations run as ``np.cumsum`` rows. ``cumsum``
+    accumulates strictly left-to-right — unlike ``np.sum``'s pairwise
+    tree — so each row replays exactly the scalar implementation's
+    addition order; zero-MB terms contribute ``+0.0``, which cannot
+    change a non-negative running sum. The scalar version above stays
+    the frozen reference.
     """
     apps = alloc.apps()
     if not apps:
         return 0.0
-    # Shared grant-row matrix (banks in ``allocs`` insertion order);
-    # zero-MB entries stay 0.0, matching the scalar path's
+    # Banks in first-touch order (the oracle's ``allocs`` order); cells
+    # an app never got stay 0.0, matching the scalar path's
     # ``bank_map.get(a, 0.0)``. Attacker counts are exact small
     # integers in float64, so mask sums equal the scalar ``+= 1``
     # tallies bit for bit.
-    banks, rows = alloc._grant_rows()
+    banks, mb_mat = alloc.grant_matrix(apps)
     vm_ids = sorted({vm_of_app[a] for a in apps})
     vm_row = {vm: i for i, vm in enumerate(vm_ids)}
-    mb_mat = np.vstack([rows[a] for a in apps])
     mask = (mb_mat > 0).astype(np.float64)
     bank_total = mask.sum(axis=0)
-    by_vm = np.zeros((len(vm_ids), len(banks)))
-    for i, a in enumerate(apps):
-        by_vm[vm_row[vm_of_app[a]]] += mask[i]
+    app_vm = [vm_row[vm_of_app[a]] for a in apps]
+    one_hot = np.zeros((len(vm_ids), len(apps)))
+    one_hot[app_vm, range(len(apps))] = 1.0
+    by_vm = one_hot @ mask
     # Sizes: left-to-right over bank-insertion order (= app_size).
     sizes = np.cumsum(mb_mat, axis=1)[:, -1]
     # Exposure: left-to-right over ascending bank ids.
     order = np.argsort(banks, kind="stable")
     mb_sorted = mb_mat[:, order]
-    attackers = (
-        bank_total[None, :]
-        - by_vm[[vm_row[vm_of_app[a]] for a in apps], :]
-    )[:, order]
+    attackers = (bank_total[None, :] - by_vm[app_vm, :])[:, order]
     safe = np.where(sizes > 0, sizes, 1.0)
     exposures = np.cumsum(
         (mb_sorted / safe[:, None]) * attackers, axis=1
@@ -125,7 +124,9 @@ def potential_attackers_per_access_fast(
 
     total_weight = 0.0
     weighted_attackers = 0.0
-    for i, victim in enumerate(apps):
+    for victim, size, exposure in zip(
+        apps, sizes.tolist(), exposures.tolist()
+    ):
         weight = (
             access_weights.get(victim, 0.0)
             if access_weights is not None
@@ -133,9 +134,9 @@ def potential_attackers_per_access_fast(
         )
         if weight <= 0:
             continue
-        if sizes[i] <= 0:
+        if size <= 0:
             continue
-        weighted_attackers += weight * float(exposures[i])
+        weighted_attackers += weight * exposure
         total_weight += weight
     if total_weight == 0:
         return 0.0

@@ -44,11 +44,11 @@ import numpy as np
 
 from ..cache.misscurve import MissCurve
 from ..config import CORE_FREQ_HZ
-from ..core.allocation import Allocation
 from ..core.context import PlacementContext
 from ..errors import LlcFull
 from ..noc.mesh import MeshNoc
 from ..sim.queueing import LcRequestSimulator, QueueSimResult
+from .reference_allocation import ReferenceAllocation
 
 __all__ = [
     "ReferenceLcRequestSimulator",
@@ -359,13 +359,15 @@ def reference_combine_curves(curves: Sequence[MissCurve]) -> MissCurve:
 
 def reference_lat_crit_placer(
     ctx: PlacementContext,
-    allocation: Optional[Allocation] = None,
+    allocation: Optional[ReferenceAllocation] = None,
     bank_affinity: Optional[Mapping[str, int]] = None,
     isolate_vms: bool = False,
-) -> Allocation:
+) -> ReferenceAllocation:
     """Greedy closest-bank LC placement (paper Listing 2), scalar."""
-    alloc = allocation if allocation is not None else Allocation(
-        ctx.config, partition_mode="per-app"
+    alloc = (
+        allocation
+        if allocation is not None
+        else ReferenceAllocation(ctx.config, partition_mode="per-app")
     )
     bank_vm: dict = {}
     if isolate_vms:
@@ -410,9 +412,9 @@ def reference_place_sizes_near_tiles(
     sizes: Mapping[str, float],
     tiles: Mapping[str, int],
     ctx: PlacementContext,
-    allocation: Allocation,
+    allocation: ReferenceAllocation,
     allowed_banks: Optional[Sequence[int]] = None,
-) -> Allocation:
+) -> ReferenceAllocation:
     """Round-robin proximity placement, rescanning banks each round."""
     chunk = ctx.config.llc_bank_mb * 0.25
     remaining: Dict[str, float] = {
@@ -474,18 +476,22 @@ def reference_jigsaw_place(
     ctx: PlacementContext,
     apps: Optional[Sequence[str]] = None,
     allowed_banks: Optional[Sequence[int]] = None,
-    allocation: Optional[Allocation] = None,
+    allocation: Optional[ReferenceAllocation] = None,
     capacity_mb: Optional[float] = None,
     step_mb: float = 0.125,
-) -> Allocation:
+) -> ReferenceAllocation:
     """Jigsaw (capacity division + proximity placement), scalar."""
     app_names = list(apps) if apps is not None else sorted(ctx.apps)
     if not app_names:
-        return allocation if allocation is not None else Allocation(
-            ctx.config, partition_mode="per-app"
+        return (
+            allocation
+            if allocation is not None
+            else ReferenceAllocation(ctx.config, partition_mode="per-app")
         )
-    alloc = allocation if allocation is not None else Allocation(
-        ctx.config, partition_mode="per-app"
+    alloc = (
+        allocation
+        if allocation is not None
+        else ReferenceAllocation(ctx.config, partition_mode="per-app")
     )
     banks = (
         list(allowed_banks)
@@ -524,7 +530,7 @@ def reference_vm_batch_curves(
 
 def reference_assign_banks_to_vms(
     ctx: PlacementContext,
-    alloc: Allocation,
+    alloc: ReferenceAllocation,
     banks_needed: Mapping[int, int],
 ) -> Dict[int, List[int]]:
     """Round-robin whole-bank assignment with per-pick min() scans."""
@@ -573,7 +579,7 @@ def reference_jumanji_placer(
     ctx: PlacementContext,
     step_mb: float = 0.125,
     enforce_isolation: bool = True,
-) -> Allocation:
+) -> ReferenceAllocation:
     """The JumanjiPlacer (paper Listing 3), fully scalar."""
     alloc = reference_lat_crit_placer(ctx, isolate_vms=enforce_isolation)
 

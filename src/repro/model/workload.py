@@ -30,6 +30,14 @@ __all__ = ["WorkloadSpec", "make_default_workload"]
 CURVE_STEP_MB = 0.125
 CURVE_POINTS = 176  # covers 0..21.875 MB, beyond the 20 MB LLC
 
+#: Process-wide ``(curve, intensity)`` table for the accelerated
+#: engines, keyed on everything a curve depends on (see
+#: :meth:`WorkloadSpec._curve_key`). Every new mix, every fleet chip
+#: rebuilt on an admission or departure, and every serve session then
+#: shares one curve per key instead of resampling 176 points. Bounded
+#: by the profile registry times the configs in use.
+_CURVES: Dict[Tuple, Tuple[MissCurve, float]] = {}
+
 
 @dataclass
 class WorkloadSpec:
@@ -57,13 +65,14 @@ class WorkloadSpec:
             for vm in self.vms
             for a in vm.batch_apps
         }
-        # Per-app (curve, intensity) cache for the fast engine: the
-        # analytic profiles and the load level are fixed for the
-        # spec's lifetime, so the 176-point curves need building only
-        # once instead of every epoch. The reference engine bypasses
-        # this (build_context(engine="reference")) to keep the scalar
-        # baseline's per-epoch rebuild cost.
-        self._curve_cache: Dict[str, Tuple[MissCurve, float]] = {}
+        # The fast engine's per-app AppInfo, curve from the process-wide
+        # ``_CURVES`` table: the analytic profiles and the load level
+        # are fixed for the spec's lifetime, so each epoch only looks
+        # the app up here (a migration drops the two moved apps). The
+        # reference engine bypasses both (build_context(engine=
+        # "reference")) to keep the scalar baseline's per-epoch
+        # rebuild cost.
+        self._infos: Dict[str, AppInfo] = {}
 
     # -- lookups -------------------------------------------------------------------
 
@@ -121,6 +130,8 @@ class WorkloadSpec:
             self._tiles[app_b],
             self._tiles[app_a],
         )
+        self._infos.pop(app_a, None)
+        self._infos.pop(app_b, None)
 
     # -- placement-context construction ----------------------------------------------
 
@@ -154,20 +165,48 @@ class WorkloadSpec:
         intensity = profile.accesses_per_query * per_kcycle
         return MissCurve(values, CURVE_STEP_MB), intensity
 
-    def _curve_of(
-        self, app: str, is_lc: bool, use_cache: bool
-    ) -> Tuple[MissCurve, float]:
+    def _curve_key(self, app: str, is_lc: bool) -> Tuple:
+        """What an app's curve depends on: the profile and QPS for an
+        LC app; for a batch app the profile, the chip and model
+        parameters, and the app count, which sets the fair share its
+        IPC estimate assumes."""
+        if is_lc:
+            return ("lc", base_app(app), self.qps_of(app))
+        apps = len(self.batch_apps) + len(self.lc_apps)
+        return ("batch", base_app(app), self.config, self.params, apps)
+
+    def _app_info(
+        self, app: str, vm_id: int, is_lc: bool, use_cache: bool
+    ) -> AppInfo:
+        """One app as the placement layer sees it (see ``_infos``)."""
         if use_cache:
-            hit = self._curve_cache.get(app)
+            info = self._infos.get(app)
+            if info is not None:
+                return info
+            key = self._curve_key(app, is_lc)
+            hit = _CURVES.get(key)
             if hit is None:
-                hit = (
+                hit = _CURVES[key] = (
                     self._lc_curve(app)
                     if is_lc
                     else self._batch_curve(app)
                 )
-                self._curve_cache[app] = hit
-            return hit
-        return self._lc_curve(app) if is_lc else self._batch_curve(app)
+            curve, intensity = hit
+        else:
+            curve, intensity = (
+                self._lc_curve(app) if is_lc else self._batch_curve(app)
+            )
+        info = AppInfo(
+            name=app,
+            tile=self.tile_of(app),
+            vm_id=vm_id,
+            is_lc=is_lc,
+            curve=curve,
+            intensity=intensity,
+        )
+        if use_cache:
+            self._infos[app] = info
+        return info
 
     def build_context(
         self,
@@ -180,33 +219,17 @@ class WorkloadSpec:
         ``engine`` selects the placement implementation the context's
         consumers will use (``"fast"`` or ``"reference"``, see
         :mod:`repro.model.reference`); the reference path also rebuilds
-        the miss curves from the profiles instead of using the per-spec
-        cache.
+        the miss curves from the profiles instead of using the
+        process-wide table.
         """
         noc = noc if noc is not None else MeshNoc(self.config)
         use_cache = engine != "reference"
         apps: Dict[str, AppInfo] = {}
         for vm in self.vms:
             for app in vm.lc_apps:
-                curve, intensity = self._curve_of(app, True, use_cache)
-                apps[app] = AppInfo(
-                    name=app,
-                    tile=self.tile_of(app),
-                    vm_id=vm.vm_id,
-                    is_lc=True,
-                    curve=curve,
-                    intensity=intensity,
-                )
+                apps[app] = self._app_info(app, vm.vm_id, True, use_cache)
             for app in vm.batch_apps:
-                curve, intensity = self._curve_of(app, False, use_cache)
-                apps[app] = AppInfo(
-                    name=app,
-                    tile=self.tile_of(app),
-                    vm_id=vm.vm_id,
-                    is_lc=False,
-                    curve=curve,
-                    intensity=intensity,
-                )
+                apps[app] = self._app_info(app, vm.vm_id, False, use_cache)
         return PlacementContext(
             config=self.config,
             noc=noc,

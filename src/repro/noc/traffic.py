@@ -105,7 +105,7 @@ class NocTrafficModel:
                 continue
             tile = tiles[app]
             for bank in alloc.app_banks(app):
-                frac = alloc.allocs[bank][app] / size
+                frac = alloc.get(bank, app) / size
                 flow = rate * frac * flits_per_access
                 if bank != tile:
                     self.add_flow(tile, bank, flow / 2)

@@ -165,21 +165,20 @@ class _Session:
                 record = self.runtime.reconfigure()
             self.epoch = record.epoch + 1
             alloc = record.allocation
+            allocation = {}
+            for bank in range(self.config.num_banks):
+                items = alloc.bank_items(bank)
+                if items:
+                    allocation[str(bank)] = {
+                        a: float(mb) for a, mb in sorted(items)
+                    }
             return Decision(
                 session_id=self.session_id,
                 epoch=record.epoch,
                 lat_sizes={
                     a: float(s) for a, s in record.lat_sizes.items()
                 },
-                allocation={
-                    str(bank): {
-                        a: float(mb)
-                        for a, mb in sorted(
-                            alloc.allocs.get(bank, {}).items()
-                        )
-                    }
-                    for bank in sorted(alloc.allocs)
-                },
+                allocation=allocation,
                 shared_batch=tuple(sorted(alloc.shared_batch)),
                 invalidated_lines=int(record.invalidated_lines),
                 degraded=bool(record.degraded),

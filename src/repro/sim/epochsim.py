@@ -241,10 +241,9 @@ class ClosedLoopSimulation:
         )
         for bank_id, bank in enumerate(self.sim.banks):
             bank.partitioner.clear()
-            bank_map = allocation.allocs.get(bank_id, {})
             budget = bank.num_ways
             for app_name, mb in sorted(
-                bank_map.items(), key=lambda kv: -kv[1]
+                allocation.bank_items(bank_id), key=lambda kv: -kv[1]
             ):
                 if app_name in allocation.shared_batch:
                     continue

@@ -258,7 +258,7 @@ class TestDescriptorUniformInvariance:
         banks = list(range(config.num_banks))
         descs = []
         for size in (8.0, 10.0, 16.0, 20.0):
-            alloc = Allocation(config, accelerated=True)
+            alloc = Allocation(config)
             alloc.add_stripe("lc0", [size / len(banks)] * len(banks))
             descs.append(alloc.descriptor_for("lc0"))
         first = descs[0]
@@ -271,9 +271,9 @@ class TestDescriptorUniformInvariance:
 
         config = SystemConfig()
         n = config.num_banks
-        a = Allocation(config, accelerated=True)
+        a = Allocation(config)
         a.add_stripe("lc0", [0.5] * n)
-        b = Allocation(config, accelerated=True)
+        b = Allocation(config)
         grants = [0.5] * n
         grants[0], grants[-1] = 1.0, 0.0
         b.add_stripe("lc0", grants)

@@ -90,3 +90,58 @@ class TestTradePlacement:
         # Improvement, if any, is marginal.
         assert mean_after <= mean_before + 1e-9
         assert mean_before - mean_after < 2.0
+
+
+class TestForcedTrade:
+    """One trade applied by hand: the accelerated engine's dense
+    allocation must stay equal to the reference engine's oracle, bank
+    totals included (the trade takes space back from a bank and then
+    grants the freed space to a batch app)."""
+
+    def test_fast_matches_reference_after_a_trade(self):
+        import dataclasses
+
+        from repro.core.latcrit import lat_crit_placer
+        from repro.core.trading import Trade
+
+        workload = make_default_workload(["xapian"], mix_seed=0)
+        fast_ctx = workload.build_context(
+            {a: 2.0 for a in workload.lc_apps}
+        )
+        ref_ctx = dataclasses.replace(fast_ctx, engine="reference")
+        fast = lat_crit_placer(fast_ctx)
+        ref = lat_crit_placer(ref_ctx)
+        assert type(fast) is not type(ref)
+        lc_app = fast_ctx.lc_apps[0]
+        vm = fast_ctx.vm_of(lc_app)
+        batch_app = next(
+            a for a in fast_ctx.batch_apps if fast_ctx.vm_of(a) == vm
+        )
+        bank_from = fast.app_banks(lc_app)[0]
+        bank_to = next(
+            b for b in fast_ctx.noc.banks_by_distance(
+                fast_ctx.tile_of(lc_app)
+            )
+            if not fast.apps_in_bank(b)
+        )
+        trade = Trade(
+            lc_app=lc_app,
+            batch_app=batch_app,
+            bank_from=bank_from,
+            bank_to=bank_to,
+            moved_mb=0.3,
+            compensation_mb=0.2,
+            batch_gain_cycles=1.0,
+        )
+        assert apply_trades(fast_ctx, fast, [trade]) == 1
+        assert apply_trades(ref_ctx, ref, [trade]) == 1
+        banks = range(fast_ctx.config.num_banks)
+        assert [fast.bank_used(b) for b in banks] == [
+            ref.bank_used(b) for b in banks
+        ]
+        for app in fast_ctx.apps:
+            assert fast.app_size(app) == ref.app_size(app)
+        assert fast.allocs == ref.allocs
+        assert fast.get(bank_from, batch_app) == 0.3
+        fast.validate()
+        ref.validate()

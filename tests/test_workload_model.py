@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, VmSpec
 from repro.model.workload import (
     WorkloadSpec,
     make_default_workload,
@@ -131,3 +131,61 @@ class TestContextConstruction:
                 ctx.noc.hops(centroid, t) for t in vm.cores
             ) / len(vm.cores)
             assert avg <= 2.0
+
+
+class TestCurveTable:
+    """Miss curves are built once per process and shared by every spec
+    with the same apps (the reference engine still rebuilds them)."""
+
+    LC = ["xapian", "silo", "moses", "img-dnn"]
+
+    def test_specs_with_same_apps_share_curves(self):
+        a = make_default_workload(self.LC, mix_seed=3).build_context({})
+        b = make_default_workload(self.LC, mix_seed=3).build_context({})
+        for app, info in a.apps.items():
+            assert b.apps[app].curve is info.curve
+            assert b.apps[app].intensity == info.intensity
+
+    def test_reference_engine_rebuilds(self):
+        spec = make_default_workload(self.LC, mix_seed=3)
+        fast = spec.build_context({})
+        ref = spec.build_context({}, engine="reference")
+        for app, info in fast.apps.items():
+            assert ref.apps[app].curve is not info.curve
+            assert ref.apps[app].curve.fingerprint == info.curve.fingerprint
+
+    def test_batch_curve_follows_app_count(self):
+        # The app count sets the fair share behind the IPC estimate, so
+        # the same batch app on a less crowded chip gets its own curve.
+        full = make_default_workload(["silo"], mix_seed=0)
+        vm = full.vms[0]
+        alone = WorkloadSpec(
+            config=full.config,
+            vms=[
+                VmSpec(
+                    vm_id=0,
+                    cores=vm.cores,
+                    lc_apps=vm.lc_apps,
+                    batch_apps=vm.batch_apps[:1],
+                )
+            ],
+        )
+        app = vm.batch_apps[0]
+        assert (
+            alone.build_context({}).apps[app].curve.fingerprint
+            != full.build_context({}).apps[app].curve.fingerprint
+        )
+
+    def test_shared_curves_give_identical_runs(self, monkeypatch):
+        import repro.model.workload as workload_module
+        from repro.model import run_model
+
+        def run():
+            spec = make_default_workload(self.LC, mix_seed=4)
+            return run_model(design="Jumanji", workload=spec, epochs=6)
+
+        run()  # fills the table
+        shared = run()  # a new spec, every curve from the table
+        monkeypatch.setattr(workload_module, "_CURVES", {})
+        fresh = run()  # every curve built anew
+        assert repr(fresh) == repr(shared)
