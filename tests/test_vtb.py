@@ -96,6 +96,39 @@ class TestDescriptorFromAllocation:
             assert abs(actual - expected) <= 1.0 / 64
 
 
+def _interleave_loop(counts):
+    """The original pass-by-pass round-robin: each pass appends, in
+    bank order, every bank with entries left."""
+    entries = []
+    remaining = {b: c for b, c in counts.items() if c > 0}
+    order = sorted(remaining)
+    while len(entries) < DESCRIPTOR_ENTRIES:
+        for b in order:
+            if remaining[b] > 0:
+                entries.append(b)
+                remaining[b] -= 1
+    return entries[:DESCRIPTOR_ENTRIES]
+
+
+class TestDescriptorInterleave:
+    @given(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=63),
+            st.one_of(
+                st.floats(min_value=1e-6, max_value=5.0),
+                st.sampled_from([0.0, 0.125, 0.25, 1 / 3]),
+            ),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda a: any(v > 0 for v in a.values()))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pass_by_pass_loop(self, alloc):
+        desc = descriptor_from_allocation(alloc)
+        counts = {b: desc.entries.count(b) for b in alloc}
+        assert list(desc.entries) == _interleave_loop(counts)
+
+
 class TestVtb:
     def test_lookup_unknown_raises(self):
         with pytest.raises(KeyError):
