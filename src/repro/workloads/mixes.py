@@ -9,6 +9,7 @@ lists, including the generalised configurations of Fig. 17 (1..12 VMs).
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import List, Optional, Sequence, Tuple
 
@@ -68,6 +69,13 @@ def corner_core_layout(config: SystemConfig) -> List[List[int]]:
     capacity (ties broken by corner order), so meshes whose sides do not
     split evenly — like the paper's 5x4 — still yield balanced clusters.
     """
+    return [list(q) for q in _corner_clusters(config)]
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_clusters(config: SystemConfig) -> Tuple[Tuple[int, ...], ...]:
+    """:func:`corner_core_layout`, computed once per chip config (every
+    new mix builds its VMs from it)."""
     cols, rows = config.mesh_cols, config.mesh_rows
     if config.num_cores % 4 != 0:
         raise ValueError("corner layout needs a multiple of 4 cores")
@@ -103,7 +111,7 @@ def corner_core_layout(config: SystemConfig) -> List[List[int]]:
             if len(quadrants[q]) < per_quadrant:
                 quadrants[q].append(tile)
                 break
-    return quadrants
+    return tuple(tuple(q) for q in quadrants)
 
 
 def build_vms(

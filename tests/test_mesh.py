@@ -44,6 +44,17 @@ class TestLatency:
     def test_round_trip_doubles(self, noc):
         assert noc.round_trip(0, 19) == 2 * noc.latency(0, 19)
 
+    @pytest.mark.parametrize("delay", [1, 2, 3])
+    def test_every_pair_follows_the_hop_formula(self, delay):
+        config = SystemConfig().with_router_delay(delay)
+        noc = MeshNoc(config)
+        for a in range(config.num_cores):
+            for b in range(config.num_cores):
+                h = noc.hops(a, b)
+                want = h * (delay + config.link_delay) + delay if h else 0
+                got = noc.latency(a, b)
+                assert got == want and type(got) is int
+
     def test_router_delay_sensitivity(self):
         fast = MeshNoc(SystemConfig().with_router_delay(1))
         slow = MeshNoc(SystemConfig().with_router_delay(3))

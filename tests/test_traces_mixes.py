@@ -133,6 +133,14 @@ class TestCornerLayout:
         leads = [q[0] for q in layout]
         assert leads == [0, 4, 15, 19]
 
+    def test_each_call_returns_fresh_lists(self):
+        config = SystemConfig()
+        expected = [list(q) for q in corner_core_layout(config)]
+        mutated = corner_core_layout(config)
+        mutated[0].append(99)
+        mutated.pop()
+        assert corner_core_layout(config) == expected
+
     def test_quadrants_are_local(self):
         config = SystemConfig()
         layout = corner_core_layout(config)
