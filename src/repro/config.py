@@ -198,16 +198,18 @@ DEFAULT_CONTROLLER = ControllerConfig()
 class Engine:
     """The implementations every dual-engine entry point accepts.
 
-    ``"fast"`` selects the vectorised kernels (numpy placers, batched
-    queueing RNG, memoisation) and the dense banks x apps allocation
-    matrix (:class:`repro.core.allocation.Allocation`); ``"reference"``
-    selects the frozen scalar copies in :mod:`repro.model.reference`
-    and :mod:`repro.sim.reference` and the dict-of-dicts allocation
-    oracle (:mod:`repro.model.reference_allocation`); ``"batch"`` is
-    the fast engine plus the multi-mix batch axis (one Lindley scan
-    advances every mix's queue, sub-epoch value-keyed memoisation —
-    see :mod:`repro.model.batch`). All are differentially tested to be
-    bit-identical.
+    ``"fast"`` is the accelerated engine: vectorised kernels (numpy
+    placers, batched queueing RNG, memoisation), the dense banks x apps
+    allocation matrix (:class:`repro.core.allocation.Allocation`) and
+    one epoch loop, :class:`repro.model.batch.BatchSystemModel`, whose
+    service, queueing, feedback and metric stages are arrays across
+    every mix of a batch (a single model runs as a batch of one).
+    ``"reference"`` selects the frozen scalar copies in
+    :mod:`repro.model.reference` and :mod:`repro.sim.reference`, the
+    dict-of-dicts allocation oracle
+    (:mod:`repro.model.reference_allocation`) and the scalar epoch loop
+    of :class:`repro.model.system.SystemModel`. The two are
+    differentially tested to be bit-identical.
     ``PlacementContext.engine``, ``SystemModel(engine=...)``, and the
     trace-sim cells all validate through :meth:`validate`, so an
     unknown literal fails the same way everywhere.
@@ -215,8 +217,7 @@ class Engine:
 
     FAST = "fast"
     REFERENCE = "reference"
-    BATCH = "batch"
-    CHOICES = (FAST, REFERENCE, BATCH)
+    CHOICES = (FAST, REFERENCE)
 
     @classmethod
     def accelerated(cls, value: str) -> bool:

@@ -8,7 +8,7 @@ consumers (performance model, security metrics, descriptor generation)
 all read from this one structure.
 
 Two classes implement it. :class:`Allocation` here, used by the
-accelerated engines, stores a dense banks x apps matrix.
+accelerated engine, stores a dense banks x apps matrix.
 :class:`repro.model.reference_allocation.ReferenceAllocation`, used by
 the ``reference`` engine, is the frozen dict-of-dicts original and the
 oracle the matrix is tested against. Both answer every query with
@@ -29,7 +29,12 @@ from ..errors import AllocationInvalid
 from ..noc.mesh import MeshNoc
 from ..vtb.vtb import PlacementDescriptor, descriptor_from_allocation
 
-__all__ = ["Allocation", "AllocationInvalid", "PARTITION_MODES"]
+__all__ = [
+    "Allocation",
+    "AllocationInvalid",
+    "PARTITION_MODES",
+    "stacked_app_terms",
+]
 
 #: How intra-bank space is enforced:
 #: * ``per-app``  — every app has its own way-partition (D-NUCAs);
@@ -281,16 +286,6 @@ class Allocation:
             if row[j] > 0
         ]
 
-    def grant_matrix(
-        self, apps: Sequence[str]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(banks, mb)``: touched bank ids in first-touch order, and
-        an ``apps x banks`` float64 matrix of each app's MB there
-        (every app must have been granted space)."""
-        stats = self._stats()
-        cols = [self._col[a] for a in apps]
-        return stats.banks, stats.mb[:, cols].T
-
     def bank_used(self, bank: int) -> float:
         """MB committed in ``bank``."""
         s = self._slot.get(bank)
@@ -371,6 +366,27 @@ class Allocation:
         if j is None or not self._banks:
             return 0.0
         return self._stats().ways(self)[j]
+
+    def bank_matrix(
+        self, apps: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(mb, sizes)``: an ``apps x num_banks`` float64 matrix of each
+        app's MB by bank id (``0.0`` where it has none), and each app's
+        :meth:`app_size` as a float (``0.0`` for an app with none)."""
+        mb = np.zeros((len(apps), self.config.num_banks))
+        sizes = np.zeros(len(apps))
+        if not self._banks:
+            return mb, sizes
+        stats = self._stats()
+        col = self._col
+        cols = [col.get(a) for a in apps]
+        rows = list(range(len(apps)))
+        if None in cols:
+            rows = [k for k, c in enumerate(cols) if c is not None]
+            cols = [c for c in cols if c is not None]
+        mb[np.ix_(rows, stats.banks)] = stats.mb[:, cols].T
+        sizes[rows] = stats.size_array[cols]
+        return mb, sizes
 
     def _stats(self) -> "_ColumnStats":
         stats = self._column_stats
@@ -496,11 +512,13 @@ class _ColumnStats:
         self.held = sizes > 0
         self.share = self.mb / np.where(self.held, sizes, 1.0)
         np.maximum(self.share, 0.0, out=self.share)
+        self.size_array = sizes
         self.sizes: List[float] = sizes.tolist()
         self.apps: List[str] = sorted(
             compress(alloc._apps, (self.mb > 0).any(axis=0).tolist())
         )
         self._ways: Optional[List[float]] = None
+        self._ways_array = np.zeros(0)
         self._ways_groups: Dict[str, str] = {}
         self._noc: Dict[
             Tuple[str, MeshNoc], Tuple[np.ndarray, np.ndarray]
@@ -538,9 +556,11 @@ class _ColumnStats:
                 ways = ((group_mb * ways_per_mb) * self.share).cumsum(
                     axis=0
                 )[-1]
-                self._ways = np.where(self.held, ways, 0.0).tolist()
+                ways = np.where(self.held, ways, 0.0)
             else:
-                self._ways = [0.0] * mb.shape[1]
+                ways = np.zeros(mb.shape[1])
+            self._ways_array = ways
+            self._ways = ways.tolist()
             self._ways_groups = dict(groups)
         return self._ways
 
@@ -591,3 +611,73 @@ class _ColumnStats:
             avg = np.where(self.held, total, snuca[:, None])
         return avg, snuca
 
+
+def stacked_app_terms(
+    requests: Sequence[Tuple[Allocation, Sequence[str]]],
+    distances: np.ndarray,
+    snuca: np.ndarray,
+) -> Tuple[List[float], np.ndarray, np.ndarray, np.ndarray]:
+    """Per-app terms of many allocations at once.
+
+    ``requests`` lists ``(allocation, apps)`` pairs; their apps, in
+    order, are the rows of the result. ``distances[0, k, b]`` and
+    ``distances[1, k, b]`` are the round trip and the hop count from
+    row ``k``'s tile to bank ``b``, and ``snuca[:, k]`` their averages
+    over every bank (rows of :attr:`MeshNoc.distance_tables
+    <repro.noc.mesh.MeshNoc.distance_tables>` gathered by tile).
+
+    Returns ``(sizes, ways, rtt, hops)``: for each row, what
+    :meth:`Allocation.app_size` (a list, with its exact values),
+    :meth:`~Allocation.ways_per_bank`, :meth:`~Allocation.avg_noc_rtt`
+    and :meth:`~Allocation.avg_noc_hops` return for that app. Each
+    allocation's slots become one zero-padded row segment, and the NoC
+    averages run down the slots in order as :meth:`_ColumnStats.
+    _noc_table` does (padding adds ``+0.0`` after the last slot), so
+    every value is bit-identical to the one-app query.
+    """
+    parts = []
+    width = 0
+    for alloc, apps in requests:
+        stats = alloc._stats() if alloc._banks else None
+        if stats is not None:
+            width = max(width, len(alloc._banks))
+        parts.append((alloc, apps, stats))
+    rows = sum(len(apps) for _, apps, _ in parts)
+    share = np.zeros((rows, width))
+    banks = np.zeros((rows, width), dtype=np.int64)
+    held = np.zeros(rows, dtype=bool)
+    ways = np.zeros(rows)
+    sizes: List[float] = []
+    r = 0
+    for alloc, apps, stats in parts:
+        n = len(apps)
+        if stats is None:
+            # No slot at all: int 0 sizes, exactly as app_size has them.
+            sizes += [alloc.app_size(a) for a in apps]
+            r += n
+            continue
+        stats.ways(alloc)
+        cols = [alloc._col.get(a) for a in apps]
+        gone = None
+        if None in cols:
+            gone = np.array([c is None for c in cols])
+            cols = [0 if c is None else c for c in cols]
+        slots = len(stats.banks)
+        share[r : r + n, :slots] = stats.share.T[cols]
+        banks[r : r + n, :slots] = stats.banks
+        here = stats.held[cols]
+        size = stats.size_array[cols]
+        way = stats._ways_array[cols]
+        if gone is not None:
+            here &= ~gone
+            size = np.where(gone, 0.0, size)
+            way = np.where(gone, 0.0, way)
+        held[r : r + n] = here
+        ways[r : r + n] = way
+        sizes += size.tolist()
+        r += n
+    averages = snuca
+    if width:
+        terms = distances[:, np.arange(rows)[:, None], banks] * share
+        averages = np.where(held, terms.cumsum(axis=2)[:, :, -1], snuca)
+    return sizes, ways, averages[0], averages[1]

@@ -77,7 +77,7 @@ class PlacementContext:
         """A fresh, empty allocation of the class this context's engine
         uses.
 
-        The accelerated engines get the dense banks x apps matrix,
+        The accelerated engine gets the dense banks x apps matrix,
         :class:`~repro.core.allocation.Allocation`; the reference engine
         gets the frozen dict-of-dicts oracle,
         :class:`~repro.model.reference_allocation.ReferenceAllocation`.

@@ -21,11 +21,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from ..config import ControllerConfig, SystemConfig
 from ..errors import TelemetryInvalid
-from ..sim.queueing import percentile
+from ..sim.queueing import nearest_rank, percentile
 
 __all__ = ["FeedbackController", "ControllerDecision"]
 
@@ -206,30 +208,41 @@ class FeedbackController:
         window.clear()
         return self._update(app, tail)
 
-    def ingest_completed(self, app: str, latencies: List[float]) -> None:
+    def ingest_completed(
+        self, app: str, latencies: "Union[Sequence[float], np.ndarray]"
+    ) -> None:
         """Bulk :meth:`request_completed` for pre-validated samples.
 
         ``latencies`` must already be finite, non-negative floats — the
         accelerated runtime numpy-checks the whole batch before calling
         (any suspect batch takes the per-sample path instead, so drop
-        events are preserved). Windows fill and fire exactly as the
-        per-sample path does: a window is processed the moment it holds
-        ``configuration_interval + 1`` samples, over the same list
-        contents, so the resize decisions are bit-identical.
+        events are preserved). The carried partial window and the new
+        samples are cut into the windows the per-sample path would have
+        filled, ``configuration_interval + 1`` samples each; one sort
+        over every full window gives their tails, which then drive
+        :meth:`_update` one window at a time, in order. The samples
+        left over become the carried window. Sorting the same values
+        picks the same nearest-rank sample, so every decision is
+        bit-identical to the per-sample path.
         """
         if app not in self._deadlines:
             raise KeyError(f"app {app!r} not registered")
         window = self._windows[app]
         limit = self.config.configuration_interval + 1
-        i, n = 0, len(latencies)
-        while i < n:
-            take = min(n - i, limit - len(window))
-            window.extend(latencies[i : i + take])
-            i += take
-            if len(window) >= limit:
-                tail = percentile(window, self.config.percentile)
-                window.clear()
-                self._update(app, tail)
+        if len(window) + len(latencies) < limit:
+            window.extend(np.asarray(latencies, dtype=float).tolist())
+            return
+        samples = np.concatenate(
+            [np.asarray(window, dtype=float),
+             np.asarray(latencies, dtype=float)]
+        )
+        full = len(samples) // limit * limit
+        tails = np.sort(samples[:full].reshape(-1, limit), axis=1)[
+            :, nearest_rank(limit, self.config.percentile)
+        ]
+        window[:] = samples[full:].tolist()
+        for tail in tails.tolist():
+            self._update(app, tail)
 
     def _update(self, app: str, tail: float) -> ControllerDecision:
         cfg = self.config

@@ -41,7 +41,7 @@ import logging
 import random
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -125,7 +125,7 @@ class JumanjiRuntime:
         #: Memo statistics for benchmarks/tests.
         self.memo_hits = 0
         self.memo_misses = 0
-        # Sub-epoch memoisation (accelerated engines only, same gate as
+        # Sub-epoch memoisation (accelerated engine only, same gate as
         # the placement memo): placement descriptors are pure functions
         # of an app's per-bank allocation *vector*, and — because IEEE
         # division of ``c`` by an exact small-integer multiple ``B*c``
@@ -204,35 +204,41 @@ class JumanjiRuntime:
             )
 
     def report_latencies(
-        self, app: str, latencies_cycles: "List[float]"
+        self, app: str, latencies_cycles: "Sequence[float]"
     ) -> None:
         """Batched :meth:`report_latency` for one epoch's completions.
 
         Equivalent to reporting each sample in order — per-sample
         sanitization (and its structured drop events) is preserved.
-        Under accelerated engines (same gate as the placement memo), a
+        Under the accelerated engine (same gate as the placement memo), a
         batch that numpy-validates clean — every sample finite and
         non-negative, the overwhelmingly common case — is ingested in
         bulk through
         :meth:`~repro.core.controller.FeedbackController.ingest_completed`;
-        ``tolist()`` yields the same doubles ``float()`` coercion
+        the float64 array holds the same doubles ``float()`` coercion
         would, so the windows hold identical values. Any suspect batch
         falls back to the per-sample path, emitting the exact drop
-        events it always did.
+        events it always did. ``latencies_cycles`` may be a list or a
+        1-D array (the accelerated engine passes rows of its latency
+        matrix).
         """
-        if self._memoize and latencies_cycles:
+        if self._memoize and len(latencies_cycles):
             try:
                 arr = np.asarray(latencies_cycles, dtype=float)
             except (TypeError, ValueError):
                 arr = None
+            # NaN propagates through min and max, so these two
+            # reductions accept exactly the finite, non-negative batches.
             if (
                 arr is not None
                 and arr.ndim == 1
-                and bool(np.isfinite(arr).all())
-                and bool((arr >= 0).all())
+                and arr.min() >= 0
+                and arr.max() < np.inf
             ):
-                self.controller.ingest_completed(app, arr.tolist())
+                self.controller.ingest_completed(app, arr)
                 return
+        if isinstance(latencies_cycles, np.ndarray):
+            latencies_cycles = latencies_cycles.tolist()
         for latency in latencies_cycles:
             self.report_latency(app, latency)
 
@@ -291,7 +297,7 @@ class JumanjiRuntime:
     ) -> PlacementDescriptor:
         """``allocation.descriptor_for(app)``, value-memoised.
 
-        Only with memoisation enabled (the accelerated engines; the
+        Only with memoisation enabled (the accelerated engine; the
         reference engine rebuilds descriptors every epoch). The key is
         the app's exact per-bank MB vector — or, for uniform vectors,
         the bank set alone: with all ``B`` quotas equal, largest-

@@ -253,16 +253,16 @@ def _run_workload(
     config: Optional[SystemConfig] = None,
     baseline_ipcs: Optional[Mapping[str, float]] = None,
     base_seed: int = 0,
-    engine: str = Engine.BATCH,
+    engine: str = Engine.FAST,
     **design_kwargs,
 ) -> Tuple[WorkloadOutcome, RunResult, Dict[str, float]]:
     """Run one sweep cell; returns (outcome, raw result, batch IPCs).
 
     ``baseline_ipcs`` are the Static IPCs used to compute weighted
     speedup; when omitted a Static run is performed first (and returned
-    as the third element for reuse). ``engine`` defaults to the batch
-    engine (fused queueing kernel + accelerated placers); all engines
-    are bit-identical, so cached sweep results are engine-agnostic.
+    as the third element for reuse). ``engine`` defaults to the
+    accelerated engine (each run a batch of one); both engines are
+    bit-identical, so cached sweep results are engine-agnostic.
     """
     epochs = epochs if epochs is not None else num_epochs()
     seed = run_seed(base_seed, mix_seed)
@@ -368,7 +368,7 @@ def _baseline_handler(
         workload,
         num_epochs=epochs,
         seed=run_seed(base_seed, mix_seed),
-        engine=Engine.BATCH,
+        engine=Engine.FAST,
     )
     return static.batch_ipcs()
 

@@ -1,7 +1,7 @@
 """The unified model entry point: one call, ``engine=`` dispatch.
 
 :func:`run_model` is the package's one front door to the analytic
-model: one workload, many workloads through the fused batch engine, or
+model: one workload, many workloads batched through one epoch loop, or
 a named LC workload plus the speedup/tail/energy bookkeeping of a
 sweep cell, behind one keyword-only signature.
 
@@ -17,9 +17,10 @@ argument                returns
                         the sweep-cell triple
 ======================= ==========================================
 
-``engine`` defaults to the mode's historical engine (``fast`` for a
-single workload, ``batch`` otherwise); all engines are bit-identical,
-so the choice is purely a performance knob.
+``engine`` defaults to ``fast``, the accelerated engine, which runs a
+single workload as a batch of one; ``reference`` is the frozen scalar
+engine. The two are bit-identical, so the choice is purely a
+performance knob.
 """
 
 from __future__ import annotations
@@ -56,8 +57,10 @@ def run_model(
 
     * ``workload=`` — one :class:`~repro.model.workload.WorkloadSpec`;
       honours ``epochs`` (default 20) and ``seed`` (default 0).
-    * ``workloads=`` — a sequence of specs through the fused batch
-      engine; honours ``epochs`` and per-mix ``seeds``.
+    * ``workloads=`` — a sequence of specs run as one batch
+      (:class:`~repro.model.batch.BatchSystemModel`); honours
+      ``epochs`` and per-mix ``seeds``. The batch runs on the ``fast``
+      engine; ``engine="reference"`` is refused.
     * ``lc_workload=`` — a named LC workload (``"xapian"``, ...,
       ``"Mixed"``); builds the paper's default mix from ``load`` /
       ``mix_seed`` / ``config`` and returns the sweep-cell triple
@@ -101,16 +104,19 @@ def run_model(
     if workloads is not None:
         from .batch import _run_design_batch
 
-        if engine is None:
-            engine = Engine.BATCH
-        engine = Engine.validate(engine, source="run_model")
+        if engine is not None:
+            engine = Engine.validate(engine, source="run_model")
+            if not Engine.accelerated(engine):
+                raise ConfigError(
+                    "workloads= runs the accelerated engine only; run "
+                    "each mix with workload= for engine='reference'"
+                )
         return _run_design_batch(
             design,
             workloads,
             num_epochs=epochs if epochs is not None else 20,
             seeds=list(seeds) if seeds is not None else None,
             controller_config=controller_config,
-            engine=engine,
             **kwargs,
         )
 
@@ -128,7 +134,7 @@ def run_model(
             "controller_config= applies to workload=/workloads= modes"
         )
     if engine is None:
-        engine = Engine.BATCH
+        engine = Engine.FAST
     engine = Engine.validate(engine, source="run_model")
     return _run_workload(
         design,

@@ -39,10 +39,10 @@ from ..core.designs import (
     LlcDesign,
     make_design,
 )
-from ..core.runtime import JumanjiRuntime
+from ..core.runtime import JumanjiRuntime, ReconfigRecord
 from ..metrics.security import (
     potential_attackers_per_access,
-    potential_attackers_per_access_fast,
+    potential_attackers_per_access_fast,  # noqa: F401  (see below)
 )
 from ..metrics.speedup import weighted_speedup
 from ..noc.energy import EnergyBreakdown, EnergyModel
@@ -50,7 +50,7 @@ from ..noc.mesh import MeshNoc
 from ..sim.queueing import (
     LcRequestSimulator,
     percentile,
-    run_epoch_batch,
+    run_epoch_batch,  # noqa: F401  (see below)
 )
 from ..workloads.mixes import base_app
 from ..workloads.tailbench import (
@@ -61,6 +61,11 @@ from ..workloads.tailbench import (
 from .params import DEFAULT_PARAMS, ModelParams
 from .performance import batch_perf, lc_service_cycles, snuca_avg_rtt
 from .workload import WorkloadSpec
+
+# ``run_epoch_batch`` and ``potential_attackers_per_access_fast`` are
+# not called here since the accelerated epoch loop moved to
+# :mod:`repro.model.batch`; they stay importable from this module
+# because call-site tracers (``bench/trace.py``) look them up here.
 
 __all__ = [
     "EpochMetrics",
@@ -240,7 +245,7 @@ class SystemModel:
         energy_model: Optional[EnergyModel] = None,
         params: Optional[ModelParams] = None,
         epoch_cycles: int = RECONFIG_INTERVAL_CYCLES,
-        engine: str = "fast",
+        engine: str = Engine.FAST,
     ):
         if epoch_cycles <= 0:
             raise ValueError("epoch_cycles must be positive")
@@ -249,11 +254,12 @@ class SystemModel:
         self.workload = workload
         self.config = workload.config
         self.epoch_cycles = epoch_cycles
-        #: ``"fast"`` runs the vectorised epoch engine (batched queueing
-        #: RNG, numpy placer kernels, placement memoisation, curve
-        #: caches); ``"reference"`` runs the frozen scalar engine from
-        #: :mod:`repro.model.reference` with every cache disabled. The
-        #: two produce bit-identical results.
+        #: ``"fast"`` runs the accelerated epoch engine
+        #: (:mod:`repro.model.batch`, as a batch of one: numpy placer
+        #: kernels, placement memoisation, curve caches, array metric
+        #: stages); ``"reference"`` runs the frozen scalar loop below
+        #: over :mod:`repro.model.reference` with every cache disabled.
+        #: The two produce bit-identical results.
         self.engine = engine
         self.noc = MeshNoc(self.config)
         self.params = params if params is not None else workload.params
@@ -291,17 +297,6 @@ class SystemModel:
                 service_cv=profile.service_cv,
                 seed=seed * 1000 + i,
             )
-        # Identity-keyed per-allocation caches: batch IPC/rate and
-        # vulnerability are pure functions of the allocation (the
-        # workload is fixed per model), so epochs that install the same
-        # allocation *object* — which only happens via the placement
-        # memo — reuse the computed values. The reference engine builds
-        # a fresh Allocation every epoch, so these never hit there.
-        self._batch_cache: Optional[
-            Tuple[Allocation, Dict[str, float],
-                  Dict[str, Tuple[float, float, float]]]
-        ] = None
-        self._vuln_cache: Optional[Tuple[Allocation, float]] = None
 
     def _effective_lat_sizes(
         self, controller_sizes: Mapping[str, float]
@@ -342,12 +337,6 @@ class SystemModel:
         self, alloc: Allocation
     ) -> Tuple[Dict[str, float], Dict[str, Tuple[float, float, float]]]:
         """Batch IPCs and (accesses, misses, hops) rates for energy."""
-        if (
-            self._batch_cache is not None
-            and self._batch_cache[0] is alloc
-        ):
-            _, ipcs, rates = self._batch_cache
-            return dict(ipcs), dict(rates)
         ipcs: Dict[str, float] = {}
         rates: Dict[str, Tuple[float, float, float]] = {}
         overhead = self.runtime.batch_overhead_factor
@@ -363,7 +352,6 @@ class SystemModel:
             misses = perf.mpki_eff * perf.ipc / 1000.0
             hops = accesses * 2 * alloc.avg_noc_hops(app, tile, self.noc)
             rates[app] = (accesses, misses, hops)
-        self._batch_cache = (alloc, dict(ipcs), dict(rates))
         return ipcs, rates
 
     def _epoch_energy(
@@ -412,16 +400,13 @@ class SystemModel:
 
     # -- main loop -------------------------------------------------------------------
     #
-    # The epoch is split into three phases so a batch driver
-    # (:mod:`repro.model.batch`) can interleave many models:
-    # ``_epoch_begin`` (placement + service-time computation),
-    # the LC queueing simulation (``_epoch_sim`` here; one fused
-    # :func:`~repro.sim.queueing.run_epoch_batch` call across all mixes
-    # in the batch engine), and ``_epoch_finish`` (feedback, tails,
-    # batch IPCs, vulnerability, energy). Phase boundaries only reorder
-    # operations that are independent — every per-app computation
-    # sequence is unchanged, so results stay bit-identical to the
-    # un-split loop.
+    # The scalar epoch loop below is the reference engine's: placement
+    # (``_place``, shared with the accelerated engine), service times
+    # (``_epoch_begin``), the LC queueing simulation (``_epoch_sim``)
+    # and feedback plus metrics (``_epoch_finish``), one app at a time.
+    # The accelerated engine (:mod:`repro.model.batch`) runs the same
+    # phases as array stages across a batch of models and is
+    # differentially tested against this loop.
 
     def _run_begin(self, num_epochs: int) -> "_RunState":
         """Validate and build the accumulator state for one run."""
@@ -454,19 +439,24 @@ class SystemModel:
             all_latencies={a: [] for a in self.workload.lc_apps},
         )
 
-    def _epoch_begin(self, epoch: int) -> "_EpochPrep":
-        """Phase 1: reconfigure placement, compute LC service times."""
+    def _place(self) -> Tuple[ReconfigRecord, Allocation]:
+        """Reconfigure placement: the runtime's record, and the
+        allocation serving batch traffic (a separate one only under the
+        Ideal Batch design)."""
         record = self.runtime.reconfigure()
-        alloc = record.allocation
         if isinstance(self.design, JumanjiIdealBatchDesign):
             ctx = self.workload.build_context(
                 self._effective_lat_sizes(self.runtime.lat_sizes()),
                 self.noc,
                 engine=self.engine,
             )
-            batch_alloc = self.design.allocate_batch(ctx)
-        else:
-            batch_alloc = alloc
+            return record, self.design.allocate_batch(ctx)
+        return record, record.allocation
+
+    def _epoch_begin(self, epoch: int) -> "_EpochPrep":
+        """Phase 1: reconfigure placement, compute LC service times."""
+        record, batch_alloc = self._place()
+        alloc = record.allocation
         services: Dict[str, float] = {}
         sizes: Dict[str, float] = {}
         for app in self.workload.lc_apps:
@@ -476,22 +466,11 @@ class SystemModel:
             batch_alloc=batch_alloc,
             services=services,
             sizes=sizes,
-            memo_hit=record.memo_hit,
         )
 
     def _epoch_sim(self, prep: "_EpochPrep") -> Dict[str, List[float]]:
         """Phase 2: advance every LC queueing simulator by one epoch."""
         apps = self.workload.lc_apps
-        if self.engine == Engine.BATCH and apps:
-            results = run_epoch_batch(
-                [self._lc_sims[a] for a in apps],
-                self.epoch_cycles,
-                [prep.services[a] for a in apps],
-            )
-            return {
-                a: list(r.latencies_cycles)
-                for a, r in zip(apps, results)
-            }
         return {
             a: list(
                 self._lc_sims[a]
@@ -537,19 +516,9 @@ class SystemModel:
         batch_alloc = prep.batch_alloc
         ipcs, rates = self._batch_epoch(batch_alloc)
         # Vulnerability over the allocation actually serving traffic.
-        if (
-            self._vuln_cache is not None
-            and self._vuln_cache[0] is batch_alloc
-        ):
-            vuln = self._vuln_cache[1]
-        else:
-            vuln_fn = (
-                potential_attackers_per_access_fast
-                if Engine.accelerated(self.engine)
-                else potential_attackers_per_access
-            )
-            vuln = vuln_fn(batch_alloc, state.vm_map, state.intensity)
-            self._vuln_cache = (batch_alloc, vuln)
+        vuln = potential_attackers_per_access(
+            batch_alloc, state.vm_map, state.intensity
+        )
         energy = self._epoch_energy(batch_alloc, rates, lc_lats)
         state.epochs.append(
             EpochMetrics(
@@ -574,7 +543,16 @@ class SystemModel:
         )
 
     def run(self, num_epochs: int = 20) -> RunResult:
-        """Simulate ``num_epochs`` 100 ms epochs."""
+        """Simulate ``num_epochs`` 100 ms epochs.
+
+        An accelerated model runs as a batch of one through
+        :class:`~repro.model.batch.BatchSystemModel`; the reference
+        engine runs the scalar loop.
+        """
+        if Engine.accelerated(self.engine):
+            from .batch import BatchSystemModel
+
+            return BatchSystemModel.from_models([self]).run(num_epochs)[0]
         state = self._run_begin(num_epochs)
         for epoch in range(num_epochs):
             with obs.span(
@@ -596,8 +574,6 @@ class _EpochPrep:
     services: Dict[str, float]
     #: LC app -> LLC MB (reported as ``lc_sizes``).
     sizes: Dict[str, float]
-    #: Whether the placement came out of the runtime's memo.
-    memo_hit: bool
 
 
 @dataclass
@@ -617,7 +593,7 @@ def _run_design(
     num_epochs: int = 20,
     seed: int = 0,
     controller_config: Optional[ControllerConfig] = None,
-    engine: str = "fast",
+    engine: str = Engine.FAST,
     **design_kwargs,
 ) -> RunResult:
     """Build and run one design against a workload (internal impl)."""

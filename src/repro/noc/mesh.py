@@ -9,7 +9,7 @@ D-NUCA minimises by placing data nearby.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,9 +55,11 @@ class MeshNoc:
             for row in self._hops.tolist()
         ]
         self._banks_by_distance: Dict[int, List[int]] = {}
-        # Float copy of the latency table, built on first use by the
-        # vectorised allocation statistics.
+        # Float copy of the latency table and the stacked distance
+        # tables, built on first use by the vectorised allocation
+        # statistics.
         self._lat_np = None
+        self._distances: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _corner_tiles(self) -> Tuple[int, ...]:
         """Tiles hosting the memory controllers (the four chip corners)."""
@@ -116,6 +118,25 @@ class MeshNoc:
             )
             self._lat_np.flags.writeable = False
         return self._lat_np
+
+    @property
+    def distance_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(pairs, snuca)``: :attr:`round_trip_matrix` and
+        :attr:`hop_matrix` stacked as one ``(2, tiles, tiles)`` float64
+        array, and each tile's average of both over every bank
+        (``(2, tiles)``, the S-NUCA distance). All exact integers (the
+        averages divided once), so results match per-pair arithmetic
+        bit for bit."""
+        if self._distances is None:
+            pairs = np.stack(
+                [self.round_trip_matrix, self._hops.astype(np.float64)]
+            )
+            n = self.config.num_banks
+            snuca = pairs[:, :, :n].sum(axis=2) / n
+            pairs.flags.writeable = False
+            snuca.flags.writeable = False
+            self._distances = (pairs, snuca)
+        return self._distances
 
     def nearest_mem_tile(self, tile: int) -> int:
         """Memory-controller tile closest to ``tile``."""

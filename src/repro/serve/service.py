@@ -46,7 +46,17 @@ from .schema import (
     TelemetryRequest,
 )
 
-__all__ = ["PlacementService", "MAX_TELEMETRY_SAMPLES"]
+__all__ = [
+    "PlacementService",
+    "MAX_TELEMETRY_SAMPLES",
+    "SESSION_HISTORY_LIMIT",
+]
+
+#: Reconfiguration records, controller decisions and runtime events a
+#: session keeps (ring buffers, as each fleet chip's runtime keeps
+#: them): a daemon serves a session for as long as it lives, and each
+#: decision would otherwise keep its record and allocation forever.
+SESSION_HISTORY_LIMIT = 64
 
 #: Default bound on samples per telemetry POST (-> 413 when exceeded).
 #: Generous: a real 100 ms epoch at the highest profiled QPS completes
@@ -116,6 +126,9 @@ class _Session:
             self.config,
             context_builder=lambda sizes: self.workload.build_context(
                 dict(sizes), self.noc
+            ),
+            controller_config=ControllerConfig(
+                history_limit=SESSION_HISTORY_LIMIT
             ),
             initial_lc_size_mb=initial_lc_mb,
             seed=req.seed,

@@ -55,6 +55,8 @@ from ..errors import ConfigError
 __all__ = [
     "QueueSimResult",
     "LcRequestSimulator",
+    "advance_epoch_batch",
+    "nearest_rank",
     "percentile",
     "run_epoch_batch",
     "VariateStream",
@@ -71,11 +73,20 @@ def percentile(latencies: Sequence[float], pct: float) -> float:
     """
     if not len(latencies):
         raise ConfigError("no latencies recorded")
+    data = np.sort(np.asarray(latencies, dtype=float))
+    return float(data[nearest_rank(data.size, pct)])
+
+
+def nearest_rank(size: int, pct: float) -> int:
+    """Index of the ``pct`` percentile in ``size`` sorted samples, by the
+    nearest-rank rule :func:`percentile` uses.
+
+    Raises :class:`~repro.errors.ConfigError` on a percentile outside
+    ``(0, 100]``.
+    """
     if not 0 < pct <= 100:
         raise ConfigError("percentile must be in (0, 100]")
-    data = np.sort(np.asarray(latencies, dtype=float))
-    rank = max(0, int(math.ceil(pct / 100.0 * data.size)) - 1)
-    return float(data[rank])
+    return max(0, int(math.ceil(pct / 100.0 * size)) - 1)
 
 
 class VariateStream:
@@ -241,6 +252,16 @@ class LcRequestSimulator:
         self._next_arrival = float(candidates[m])
         return arrivals
 
+    def _admit(self, epoch_end: float) -> int:
+        """Queue the arrivals up to ``epoch_end`` and return the backlog
+        length; the backlog cap drops the latest arrivals (their
+        variates are still consumed)."""
+        arrivals = self._generate_arrivals(epoch_end)
+        room = self.max_backlog - len(self._backlog)
+        if room > 0:
+            self._backlog.extend(arrivals[:room])
+        return len(self._backlog)
+
     def run_epoch(
         self,
         duration_cycles: float,
@@ -265,16 +286,9 @@ class LcRequestSimulator:
                 raise ValueError("qps must be positive")
             self.qps = qps
         epoch_end = self._now + duration_cycles
-
-        # Generate arrivals up to epoch end; the backlog cap drops the
-        # latest arrivals (their variates are still consumed).
-        arrivals = self._generate_arrivals(epoch_end)
-        room = self.max_backlog - len(self._backlog)
-        if room > 0:
-            self._backlog.extend(arrivals[:room])
+        n = self._admit(epoch_end)
 
         latencies: List[float] = []
-        n = len(self._backlog)
         if n:
             a = np.asarray(self._backlog, dtype=float)
             # Service times for every queued request are *peeked*; only
@@ -332,23 +346,6 @@ class LcRequestSimulator:
             final_queue_depth=len(self._backlog),
         )
 
-    def _stage_epoch(
-        self, duration_cycles: float
-    ) -> Tuple[float, int]:
-        """Arrival phase of :meth:`run_epoch`: generate this epoch's
-        arrivals into the backlog and return ``(epoch_end, backlog)``.
-
-        Identical stream consumption to the head of :meth:`run_epoch`;
-        used by :func:`run_epoch_batch` to split the per-stream arrival
-        work from the batched Lindley scan.
-        """
-        epoch_end = self._now + duration_cycles
-        arrivals = self._generate_arrivals(epoch_end)
-        room = self.max_backlog - len(self._backlog)
-        if room > 0:
-            self._backlog.extend(arrivals[:room])
-        return epoch_end, len(self._backlog)
-
     def reset(self, seed: Optional[int] = None) -> None:
         """Restart the stream (optionally reseeded).
 
@@ -367,15 +364,15 @@ class LcRequestSimulator:
         )
 
 
-def run_epoch_batch(
+def advance_epoch_batch(
     sims: Sequence[LcRequestSimulator],
     duration_cycles: float,
     mean_services: Sequence[float],
-) -> List[QueueSimResult]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Advance many simulators one epoch with a single Lindley scan.
 
-    The batch axis of the multi-mix engine: every simulator's backlog is
-    padded into one ``(sims, requests)`` matrix and the ``cumsum`` /
+    The batch axis of the accelerated engine: every simulator's backlog
+    is padded into one ``(sims, requests)`` matrix and the ``cumsum`` /
     ``maximum.accumulate`` u-transform runs once along ``axis=1``.
     numpy's row-wise scans perform exactly the per-element IEEE
     operations of the 1-D scan in :meth:`LcRequestSimulator.run_epoch`,
@@ -385,9 +382,13 @@ def run_epoch_batch(
     bit-identical to running each epoch separately — the property
     ``tests/test_model_batch.py`` pins across ragged backlog sizes.
 
-    Ragged rows are padded on the right; scans are left-to-right, so
-    padding never reaches a live prefix. Rows whose epoch has no queued
-    request skip the scan exactly as the scalar path does.
+    Returns ``(latencies, done)``: row ``i`` of the ``(sims, width)``
+    latency matrix holds simulator ``i``'s completions this epoch in its
+    first ``done[i]`` cells (arrival to completion, in completion
+    order); the cells after them are padding. Ragged rows are padded on
+    the right and scans are left-to-right, so padding never reaches a
+    live prefix; a row with no queued request starts and completes
+    nothing, as the scalar path does.
     """
     if duration_cycles <= 0:
         raise ValueError("duration must be positive")
@@ -398,89 +399,88 @@ def run_epoch_batch(
     for mean in means:
         if mean <= 0:
             raise ValueError("service time must be positive")
-    if not sims:
-        return []
 
-    # Phase 1 — per-stream arrival generation (inherently per-sim: each
-    # stream's geometric peek growth depends on its own draws).
-    ends: List[float] = []
-    counts: List[int] = []
-    for sim, mean in zip(sims, means):
-        epoch_end, n = sim._stage_epoch(duration_cycles)
-        ends.append(epoch_end)
-        counts.append(n)
-
-    width = max(counts)
-    results: List[Optional[QueueSimResult]] = [None] * len(sims)
-    if width:
-        rows = [i for i, n in enumerate(counts) if n]
-        nrows = len(rows)
-        a = np.zeros((nrows, width))
-        s = np.zeros((nrows, width))
-        free = np.empty(nrows)
-        for r, i in enumerate(rows):
-            sim, n = sims[i], counts[i]
+    # Arrivals are per stream: each stream's peek grows with its own
+    # draws.
+    ends = [sim._now + duration_cycles for sim in sims]
+    counts = [sim._admit(end) for sim, end in zip(sims, ends)]
+    nsims = len(sims)
+    width = max(counts, default=0)
+    done = np.zeros(nsims, dtype=np.int64)
+    if not width:
+        # Nothing queued anywhere (so nothing arrived either).
+        for sim, end in zip(sims, ends):
+            sim._now = end
+        return np.zeros((nsims, 0)), done
+    a = np.zeros((nsims, width))
+    s = np.zeros((nsims, width))
+    free = np.empty(nsims)
+    for r, (sim, n, mean) in enumerate(zip(sims, counts, means)):
+        if n:
             a[r, :n] = sim._backlog
             if sim._services is not None:
-                scale = means[i] * sim.service_cv**2
+                scale = mean * sim.service_cv**2
                 s[r, :n] = sim._services.peek(n) * scale
             else:
-                s[r, :n] = means[i]
-            free[r] = sim._server_free_at
-        cum = np.cumsum(s, axis=1)
-        cum_prev = np.empty_like(cum)
-        cum_prev[:, 0] = 0.0
-        cum_prev[:, 1:] = cum[:, :-1]
-        u = np.maximum(
-            np.maximum.accumulate(a - cum_prev, axis=1), free[:, None]
+                s[r, :n] = mean
+        free[r] = sim._server_free_at
+    cum = np.cumsum(s, axis=1)
+    cum_prev = np.empty_like(cum)
+    cum_prev[:, 0] = 0.0
+    cum_prev[:, 1:] = cum[:, :-1]
+    u = np.maximum(
+        np.maximum.accumulate(a - cum_prev, axis=1), free[:, None]
+    )
+    starts = u + cum_prev
+    completions = u + cum
+    # Per-row boundary cuts: starts/completions are sorted within each
+    # live prefix, so the counting comparisons reproduce the scalar
+    # searchsorted cuts (side="left" counts starts strictly before the
+    # boundary; side="right" counts completions at or before it,
+    # restricted to started requests).
+    col = np.arange(width)[None, :]
+    end_arr = np.asarray(ends)[:, None]
+    started = (
+        (starts < end_arr) & (col < np.asarray(counts)[:, None])
+    ).sum(axis=1)
+    done = ((completions <= end_arr) & (col < started[:, None])).sum(
+        axis=1
+    )
+    for r, (sim, n, ns, nd) in enumerate(
+        zip(sims, counts, started.tolist(), done.tolist())
+    ):
+        if sim._services is not None:
+            sim._services.advance(ns)
+        if ns:
+            sim._server_free_at = float(completions[r, ns - 1])
+        if nd:
+            sim._backlog = sim._backlog[nd:]
+        sim._now = ends[r]
+    return completions - a, done
+
+
+def run_epoch_batch(
+    sims: Sequence[LcRequestSimulator],
+    duration_cycles: float,
+    mean_services: Sequence[float],
+) -> List[QueueSimResult]:
+    """:func:`advance_epoch_batch`, as one :class:`QueueSimResult` per
+    simulator — exactly what each one's :meth:`~LcRequestSimulator.run_epoch`
+    would have returned."""
+    sims = list(sims)
+    mean_services = list(mean_services)
+    latencies, done = advance_epoch_batch(
+        sims, duration_cycles, mean_services
+    )
+    return [
+        QueueSimResult(
+            latencies_cycles=row[:nd].tolist(),
+            completed=nd,
+            mean_service_cycles=float(mean),
+            utilization=sim.qps * float(mean) / CORE_FREQ_HZ,
+            final_queue_depth=len(sim._backlog),
         )
-        starts = u + cum_prev
-        completions = u + cum
-        # Per-row boundary cuts: starts/completions are sorted within
-        # each live prefix, so the counting comparisons reproduce the
-        # scalar searchsorted cuts (side="left" counts starts strictly
-        # before the boundary; side="right" counts completions at or
-        # before it, restricted to started requests).
-        col = np.arange(width)[None, :]
-        n_arr = np.asarray([counts[i] for i in rows])[:, None]
-        end_arr = np.asarray([ends[i] for i in rows])[:, None]
-        n_started = ((starts < end_arr) & (col < n_arr)).sum(axis=1)
-        n_done = ((completions <= end_arr) & (col < n_started[:, None])).sum(
-            axis=1
+        for sim, mean, row, nd in zip(
+            sims, mean_services, latencies, done.tolist()
         )
-        for r, i in enumerate(rows):
-            sim = sims[i]
-            ns = int(n_started[r])
-            nd = int(n_done[r])
-            if sim._services is not None:
-                sim._services.advance(ns)
-            if ns:
-                sim._server_free_at = float(completions[r, ns - 1])
-            latencies: List[float] = []
-            if nd:
-                latencies = (
-                    completions[r, :nd] - a[r, :nd]
-                ).tolist()
-                sim._backlog = sim._backlog[nd:]
-            results[i] = QueueSimResult(
-                latencies_cycles=latencies,
-                completed=len(latencies),
-                mean_service_cycles=means[i],
-                utilization=(
-                    sim.qps * means[i] / CORE_FREQ_HZ
-                ),
-                final_queue_depth=len(sim._backlog),
-            )
-    for i, sim in enumerate(sims):
-        sim._now = ends[i]
-        if results[i] is None:
-            results[i] = QueueSimResult(
-                latencies_cycles=[],
-                completed=0,
-                mean_service_cycles=means[i],
-                utilization=(
-                    sim.qps * means[i] / CORE_FREQ_HZ
-                ),
-                final_queue_depth=len(sim._backlog),
-            )
-    return results  # type: ignore[return-value]
+    ]

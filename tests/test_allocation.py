@@ -12,7 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
-from repro.core.allocation import Allocation, AllocationInvalid
+from repro.core.allocation import (
+    Allocation,
+    AllocationInvalid,
+    stacked_app_terms,
+)
 from repro.model.reference_allocation import ReferenceAllocation
 from repro.noc.mesh import MeshNoc
 
@@ -488,6 +492,49 @@ class TestDenseMatchesOracle:
                 assert dense.avg_noc_rtt(
                     app, 3, noc
                 ) == oracle.avg_noc_rtt(app, 3, noc)
+
+    @given(st.lists(_ops, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_terms_and_bank_matrix_match_the_oracle(self, runs):
+        # Several allocations stacked in one call, each asked about
+        # every app (some never granted space, one unknown) from its
+        # own tiles, answer what the oracle's one-app queries do.
+        config = SystemConfig()
+        noc = MeshNoc(config)
+        pairs, snuca = noc.distance_tables
+        apps = _APPS + ("ghost",)
+        requests, want, tiles = [], [], []
+        for k, ops in enumerate(runs):
+            dense = Allocation(config, partition_mode="per-vm")
+            oracle = ReferenceAllocation(config, partition_mode="per-vm")
+            for op in ops:
+                _apply(dense, op)
+                _apply(oracle, op)
+            requests.append((dense, apps))
+            for i, app in enumerate(apps):
+                tile = (3 * i + k) % config.num_cores
+                tiles.append(tile)
+                want.append((
+                    oracle.app_size(app),
+                    oracle.ways_per_bank(app),
+                    oracle.avg_noc_rtt(app, tile, noc),
+                    oracle.avg_noc_hops(app, tile, noc),
+                ))
+            mb, sizes = dense.bank_matrix(apps)
+            assert mb.tolist() == [
+                [oracle.get(b, a) for b in range(_NUM_BANKS)] for a in apps
+            ]
+            assert sizes.tolist() == [
+                float(oracle.app_size(a)) for a in apps
+            ]
+        sizes, ways, rtt, hops = stacked_app_terms(
+            requests,
+            pairs[:, tiles, : config.num_banks],
+            snuca[:, tiles],
+        )
+        got = list(zip(sizes, ways.tolist(), rtt.tolist(), hops.tolist()))
+        assert got == want
+        assert [type(s) for s in sizes] == [type(w[0]) for w in want]
 
     def test_cell_left_below_zero_by_a_remove(self):
         # Removing up to 1e-9 MB more than a cell holds is allowed and

@@ -59,7 +59,7 @@ def test_obs_is_public_and_has_its_own_surface():
 def test_engine_and_settings_are_public():
     assert "Engine" in repro.__all__
     assert "Settings" in repro.__all__
-    assert repro.Engine.CHOICES == ("fast", "reference", "batch")
+    assert repro.Engine.CHOICES == ("fast", "reference")
     assert repro.Settings.from_env({}).seed == 0
 
 

@@ -1,6 +1,9 @@
 """Tests for the tail-latency feedback controller (paper Listing 1)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ControllerConfig, SystemConfig
 from repro.core.controller import FeedbackController
@@ -177,3 +180,44 @@ class TestClosedLoopConvergence:
         decision = ctrl.force_update("a", 400.0)  # spike
         assert decision.action == "panic"
         assert ctrl.size_of("a") >= 2.5
+
+
+class TestBulkIngest:
+    """``ingest_completed`` (windows cut and sorted in bulk) against
+    per-sample ``request_completed``."""
+
+    @given(
+        batches=st.lists(
+            st.lists(
+                st.floats(0.0, 400.0, allow_nan=False), max_size=90
+            ),
+            max_size=8,
+        ),
+        interval=st.integers(0, 30),
+        pct=st.sampled_from([50.0, 90.0, 95.0, 99.0, 100.0]),
+        as_array=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_matches_per_sample(self, batches, interval, pct, as_array):
+        config = ControllerConfig(
+            configuration_interval=interval, percentile=pct
+        )
+        bulk = make_controller(config=config)
+        single = make_controller(config=config)
+        for ctrl in (bulk, single):
+            ctrl.register("a", deadline=100.0)
+        for k, batch in enumerate(batches):
+            if k % 3 == 2:
+                # Epoch boundaries re-arm the one-resize-per-epoch
+                # throttle, which the decisions depend on.
+                bulk.epoch_boundary()
+                single.epoch_boundary()
+            bulk.ingest_completed(
+                "a", np.asarray(batch, dtype=float) if as_array else batch
+            )
+            for latency in batch:
+                single.request_completed("a", latency)
+            assert list(bulk.decisions) == list(single.decisions)
+            assert bulk.sizes() == single.sizes()
+            assert bulk._windows["a"] == single._windows["a"]
+            assert all(type(v) is float for v in bulk._windows["a"])

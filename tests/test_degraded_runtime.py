@@ -73,6 +73,27 @@ class TestTelemetrySanitization:
         runtime.reconfigure()
         assert runtime.lat_sizes()[app] > 0
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bulk_report_drops_exactly_the_bad_samples(self, bad, as_array):
+        import numpy as np
+
+        samples = [1e5, 2e5, bad, 3e5] * 8
+        bulk, workload = make_runtime(memoize_placement=True)
+        single, _ = make_runtime(memoize_placement=True)
+        app = workload.lc_apps[0]
+        bulk.report_latencies(
+            app, np.array(samples) if as_array else samples
+        )
+        for latency in samples:
+            single.report_latency(app, latency)
+        assert list(bulk.events) == list(single.events)
+        assert len(bulk.events) == 8
+        assert list(bulk.controller.decisions) == list(
+            single.controller.decisions
+        )
+        assert bulk.controller._windows[app] == single.controller._windows[app]
+
 
 class _ExplodingDesign:
     """Succeeds for ``good_epochs`` allocations, then raises."""

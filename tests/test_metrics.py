@@ -8,6 +8,7 @@ from repro.core.allocation import Allocation
 from repro.metrics.security import (
     bank_sharing_matrix,
     potential_attackers_per_access,
+    potential_attackers_per_access_fast,
 )
 from repro.metrics.speedup import gmean, normalize, weighted_speedup
 
@@ -150,3 +151,45 @@ class TestVulnerability:
         vm = {"a": 0, "b": 1, "c": 0}
         matrix = bank_sharing_matrix(alloc, vm)
         assert matrix == {0: 2, 2: 1}
+
+
+@st.composite
+def _alloc_and_layout(draw):
+    """An allocation over some of a workload's apps (some granted
+    nothing, some emptied by a remove, some left just below zero by a
+    remove within its 1e-9 MB tolerance), the workload's VM map, and
+    its access weights (``None``: uniform)."""
+    n_apps = draw(st.integers(1, 8))
+    apps = [f"app{k}" for k in range(n_apps)]
+    vm = {a: draw(st.integers(0, 3)) for a in apps}
+    alloc = Allocation(SystemConfig())
+    for _ in range(draw(st.integers(0, 14))):
+        app = draw(st.sampled_from(apps))
+        bank = draw(st.integers(0, 19))
+        mb = draw(st.sampled_from([0.05, 0.125, 0.25, 0.3]))
+        if alloc.bank_free(bank) >= mb:
+            alloc.add(bank, app, mb)
+            if draw(st.booleans()) and draw(st.booleans()):
+                overshoot = draw(st.sampled_from([0.0, 5e-10]))
+                alloc.remove(bank, app, alloc.get(bank, app) + overshoot)
+    weights = draw(
+        st.one_of(
+            st.none(),
+            st.fixed_dictionaries(
+                {a: st.sampled_from([0.0, 0.5, 1.0, 3.0]) for a in apps}
+            ),
+        )
+    )
+    return alloc, vm, weights
+
+
+class TestBatchedVulnerability:
+    @given(st.lists(_alloc_and_layout(), min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_per_allocation(self, cases):
+        got = potential_attackers_per_access_fast(
+            [c[0] for c in cases], [c[1] for c in cases],
+            [c[2] for c in cases],
+        )
+        want = [potential_attackers_per_access(*c) for c in cases]
+        assert got == want

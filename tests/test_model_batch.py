@@ -1,13 +1,13 @@
-"""Batched multi-mix engine equivalence tests.
+"""Accelerated epoch engine equivalence tests.
 
-The batch engine's contract is bit-identity: ``run_epoch_batch`` must
+The engine's contract is bit-identity: ``run_epoch_batch`` must
 produce, per simulator, exactly what ``LcRequestSimulator.run_epoch``
 produces — same latencies, same stream consumption, same carried
 backlog — across ragged backlog sizes, empty batches, and single-epoch
-runs; and ``BatchSystemModel`` must reproduce per-mix ``SystemModel``
-runs observable-for-observable. Hypothesis drives the kernel-level
-property; the end-to-end tests pin the whole engine against both the
-fast and the frozen reference engines.
+runs; and each mix of a ``BatchSystemModel`` must reproduce its
+reference-engine run and its batch-of-one run observable-for-
+observable. Hypothesis drives the kernel-level property and ragged
+batches end to end.
 """
 
 import copy
@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import RECONFIG_INTERVAL_CYCLES
 from repro.core.designs import make_design
+from repro.errors import ConfigError
 from repro.model.api import run_model
 from repro.model.batch import BatchSystemModel
 from repro.model.system import SystemModel
@@ -207,9 +209,10 @@ class TestBatchSystemModel:
         assert batch.stage_times.total() >= 0.0
 
     def test_reference_engine_refused(self):
-        with pytest.raises(ValueError, match="accelerated"):
-            BatchSystemModel(
-                "Static", _workloads([0]), engine="reference"
+        with pytest.raises(ConfigError, match="accelerated"):
+            run_model(
+                design="Static", workloads=_workloads([0]),
+                engine="reference",
             )
 
     def test_seed_count_mismatch_rejected(self):
@@ -278,3 +281,166 @@ class TestDescriptorUniformInvariance:
         grants[0], grants[-1] = 1.0, 0.0
         b.add_stripe("lc0", grants)
         assert a.descriptor_for("lc0") != b.descriptor_for("lc0")
+
+
+# --------------------------------------------------------------------------
+# ragged batches: every array stage against both engines
+# --------------------------------------------------------------------------
+
+
+def _nan_safe(value):
+    """NaN tails compare equal to each other (``nan != nan``)."""
+    if isinstance(value, float) and value != value:
+        return "nan"
+    if isinstance(value, (list, tuple)):
+        return type(value)(_nan_safe(v) for v in value)
+    return value
+
+
+@st.composite
+def _ragged_workload(draw):
+    """A 20-core chip with 1-4 VMs, each with its own LC and batch app
+    counts, so mixes in one batch stack differently sized row sets."""
+    from repro.config import SystemConfig, VmSpec
+    from repro.model.workload import WorkloadSpec
+    from repro.workloads.spec import profile_names
+    from repro.workloads.tailbench import lc_profile_names
+
+    vms, core = [], 0
+    for vm_id in range(draw(st.integers(1, 4))):
+        n_lc = draw(st.integers(0, 2))
+        n_batch = draw(st.integers(1, 4))
+        lc = tuple(
+            f"{draw(st.sampled_from(lc_profile_names()))}#{vm_id}.{k}"
+            for k in range(n_lc)
+        )
+        batch = tuple(
+            f"{draw(st.sampled_from(profile_names()))}#b{vm_id}.{k}"
+            for k in range(n_batch)
+        )
+        cores = tuple(range(core, core + n_lc + n_batch))
+        core += len(cores)
+        vms.append(VmSpec(vm_id, cores, lc, batch))
+    return WorkloadSpec(
+        config=SystemConfig(),
+        vms=vms,
+        load=draw(st.sampled_from(["low", "high"])),
+    )
+
+
+class TestRaggedBatches:
+    """Each mix of a ragged batch == its reference run == its batch of
+    one: every observable, and the deadline-ratio observations."""
+
+    @staticmethod
+    def _observed(run):
+        """``run()``'s result and its ``model.lc_tail_vs_deadline``
+        observations (sorted: a batch interleaves its mixes)."""
+        from repro import obs
+
+        seen = []
+        real = obs.observe
+
+        def record(name, value, **kwargs):
+            if name == "model.lc_tail_vs_deadline":
+                seen.append(value)
+            return real(name, value, **kwargs)
+
+        obs.reset()
+        obs.configure(enabled=True)
+        obs.observe = record
+        try:
+            return run(), sorted(seen)
+        finally:
+            obs.observe = real
+            obs.reset()
+
+    @given(
+        design=st.sampled_from(
+            ["Static", "Adaptive", "VM-Part", "Jigsaw", "Jumanji",
+             "Jumanji: Ideal Batch"]
+        ),
+        workloads=st.lists(_ragged_workload(), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+        epochs=st.integers(1, 3),
+        # Short epochs leave slow LC apps with no completion (NaN
+        # tails); full ones fill many controller windows.
+        epoch_cycles=st.sampled_from(
+            [150_000, 30_000_000, RECONFIG_INTERVAL_CYCLES]
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_ragged_batch_matches_reference_and_solo(
+        self, design, workloads, seed, epochs, epoch_cycles
+    ):
+        seeds = [seed + i for i in range(len(workloads))]
+        got, got_seen = self._observed(
+            lambda: BatchSystemModel(
+                design,
+                copy.deepcopy(workloads),
+                seeds=seeds,
+                epoch_cycles=epoch_cycles,
+            ).run(epochs)
+        )
+        want_seen = []
+        for workload, s, res in zip(workloads, seeds, got):
+            for engine in ("reference", "fast"):
+                solo, seen = self._observed(
+                    lambda: SystemModel(
+                        make_design(design),
+                        copy.deepcopy(workload),
+                        seed=s,
+                        epoch_cycles=epoch_cycles,
+                        engine=engine,
+                    ).run(epochs)
+                )
+                assert _nan_safe(_canonical(res)) == _nan_safe(
+                    _canonical(solo)
+                ), engine
+                if engine == "reference":
+                    want_seen += seen
+        assert got_seen == sorted(want_seen)
+
+    def test_idle_lc_epoch_gives_nan_tail(self):
+        # One slow LC app on a short epoch completes nothing: its tail
+        # is NaN, and no deadline ratio is observed for it.
+        workload = make_default_workload(["moses"], mix_seed=0, load="low")
+        got, seen = self._observed(
+            lambda: BatchSystemModel(
+                "Jumanji", [workload], seeds=[0], epoch_cycles=150_000
+            ).run(2)
+        )
+        ref, ref_seen = self._observed(
+            lambda: SystemModel(
+                make_design("Jumanji"),
+                make_default_workload(["moses"], mix_seed=0, load="low"),
+                seed=0,
+                epoch_cycles=150_000,
+                engine="reference",
+            ).run(2)
+        )
+        tails = [t for e in got[0].epochs for t in e.lc_tails.values()]
+        assert any(t != t for t in tails)
+        assert _nan_safe(_canonical(got[0])) == _nan_safe(_canonical(ref))
+        assert seen == ref_seen
+
+    def test_partial_memo_hits_recompute_every_mix(self):
+        # The quiet mix's controller never fills a window, so it keeps
+        # re-installing its memoised allocation, while the busy mix's
+        # allocation moves: the batch must not reuse the last epoch's
+        # terms for both.
+        busy = make_default_workload(["silo"], mix_seed=1, load="high")
+        quiet = make_default_workload(["moses"], mix_seed=2, load="low")
+        batch = BatchSystemModel(
+            "Jumanji", [copy.deepcopy(busy), copy.deepcopy(quiet)],
+            seeds=[5, 6],
+        )
+        got = batch.run(6)
+        hits = [m.runtime.memo_hits for m in batch.models]
+        assert hits[1] > hits[0]
+        for workload, seed, res in zip([busy, quiet], [5, 6], got):
+            solo = SystemModel(
+                make_design("Jumanji"), workload, seed=seed,
+                engine="reference",
+            ).run(6)
+            assert _nan_safe(_canonical(res)) == _nan_safe(_canonical(solo))

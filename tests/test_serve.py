@@ -308,6 +308,41 @@ class TestService:
                 TelemetryRequest(latencies={app: (1e6,) * 9}),
             )
 
+    def test_session_history_is_bounded(self, monkeypatch):
+        from repro.serve import service
+
+        def run(svc, info, decisions):
+            app = info.lc_instances[0]
+            deadline = info.deadlines[app]
+            prints = []
+            for k in range(decisions):
+                # One full controller window per decision, alternating
+                # above and below the deadline so sizes keep moving.
+                factor = 1.3 if k % 3 else 0.6
+                telemetry = TelemetryRequest(
+                    latencies={app: (factor * deadline,) * 22}
+                )
+                prints.append(svc.decide(info.session_id, telemetry))
+            return [d.fingerprint() for d in prints]
+
+        limit = service.SESSION_HISTORY_LIMIT
+        decisions = limit + 16
+        bounded = PlacementService()
+        info = bounded.create_session(_small_session())
+        got = run(bounded, info, decisions)
+        runtime = bounded._session(info.session_id).runtime
+        assert len(runtime.history) == limit
+        assert len(runtime.controller.decisions) == limit
+        assert len(runtime.events) <= limit
+        monkeypatch.setattr(service, "SESSION_HISTORY_LIMIT", None)
+        unbounded = PlacementService()
+        ref_info = unbounded.create_session(_small_session())
+        want = run(unbounded, ref_info, decisions)
+        ref_runtime = unbounded._session(ref_info.session_id).runtime
+        assert len(ref_runtime.history) == decisions
+        assert len(ref_runtime.controller.decisions) >= decisions
+        assert got == want
+
     def test_unknown_design_rejected(self):
         svc = PlacementService()
         with pytest.raises(ConfigError, match="NoSuchDesign"):

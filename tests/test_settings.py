@@ -98,18 +98,24 @@ class TestEngine:
     def test_choices(self):
         assert Engine.FAST == "fast"
         assert Engine.REFERENCE == "reference"
-        assert Engine.BATCH == "batch"
-        assert Engine.CHOICES == ("fast", "reference", "batch")
+        assert Engine.CHOICES == ("fast", "reference")
 
     def test_validate_accepts_known(self):
         assert Engine.validate("fast") == "fast"
         assert Engine.validate("reference") == "reference"
-        assert Engine.validate("batch") == "batch"
 
     def test_accelerated_split(self):
         assert Engine.accelerated("fast")
-        assert Engine.accelerated("batch")
         assert not Engine.accelerated("reference")
+
+    def test_batch_literal_is_gone(self):
+        from repro.model import make_default_workload, run_model
+
+        workload = make_default_workload(["xapian"], mix_seed=0)
+        with pytest.raises(ConfigError) as info:
+            run_model(design="Static", workload=workload, engine="batch")
+        assert "'fast'" in str(info.value)
+        assert "'reference'" in str(info.value)
 
     def test_validate_rejects_unknown_naming_source(self):
         with pytest.raises(ConfigError, match="SystemModel"):
