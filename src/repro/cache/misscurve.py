@@ -24,21 +24,25 @@ import numpy as np
 
 __all__ = ["MissCurve", "combine_curves"]
 
-#: Horizon scans each curve remembers, oldest evicted first. The placers
-#: revisit the same few dozen starts per curve (each app's size in each
-#: greedy round), so this serves the rescans of a static curve across
-#: rounds and epochs: a single app marching through a 4 MB LLC in
-#: 0.125 MB steps visits 32 starts per call.
-_SCAN_STORE_MAX = 32
+#: Horizon scans a curve remembers beyond one per grid point, oldest
+#: evicted first. The placers start their scans at grid points (each
+#: app's or VM's size in each greedy round): :func:`combine_curves` on a
+#: 20 MB LLC walks up to every start of each input curve, and UCP
+#: Lookahead dozens of each VM curve per epoch, so a curve keeps
+#: ``num_points`` scans to replay all of them across rounds and epochs.
+#: The headroom holds the off-grid starts of one bank-granular
+#: JumanjiLookahead call (whole banks minus an LC reservation), which
+#: move with the reservation from epoch to epoch.
+_SCAN_HEADROOM = 32
 
 #: Serialises inserts and evictions on every curve's scan store. Reads
 #: are single ``dict.get`` calls and need no lock: an entry is a tuple
 #: built in full before it is stored, so a reader sees all of it or none.
 _SCAN_LOCK = threading.Lock()
 
-#: One stored scan, flat for compactness: its step, the horizon ``n`` it
-#: covered, then its strict prefix-max records as ``k, utils[k]`` pairs
-#: in increasing ``k``: ``(step, n, k0, u0, k1, u1, ...)``.
+#: One stored scan, flat for compactness: the horizon ``n`` it covered,
+#: then its strict prefix-max records as ``k, utils[k]`` pairs in
+#: increasing ``k``: ``(n, k0, u0, k1, u1, ...)``.
 _Scan = Tuple[float, ...]
 
 
@@ -67,7 +71,7 @@ class MissCurve:
         self._values = arr
         self._step = float(step)
         self._fingerprint: Optional[bytes] = None
-        self._scans: Optional[Dict[float, _Scan]] = None
+        self._scans: Optional[Dict[Tuple[float, float], _Scan]] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -203,17 +207,23 @@ class MissCurve:
         horizon's row is a prefix of a longer one and its records are
         the longer row's records below the cut: a stored scan serves
         every request at its step up to its horizon, whatever
-        ``best_util`` comes in. Scans are stored by start; a longer
-        request, or one at another step, rescans and replaces the entry.
+        ``best_util`` comes in. So a scan runs past ``max_steps`` to the
+        curve's end, and every later request at that start replays it.
+        Scans are stored by ``(start, step)``, since VM-Part and Jumanji
+        scan one combined curve from the same starts at the grid step
+        and at the bank size; a request past the stored horizon rescans
+        and replaces the entry.
         """
         if max_steps < 1:
             return best_util, -1
         scans = self._scans
-        scan = scans.get(start) if scans is not None else None
-        if scan is None or scan[0] != step or scan[1] < max_steps:
-            scan = self._scan_horizon(start, step, max_steps)
+        scan = scans.get((start, step)) if scans is not None else None
+        if scan is None or scan[0] < max_steps:
+            scan = self._scan_horizon(start, step, max(
+                max_steps, int((self.max_size - start) / step) + 1
+            ))
         best_idx = -1
-        for i in range(2, len(scan), 2):
+        for i in range(1, len(scan), 2):
             k = scan[i]
             if k >= max_steps:
                 break
@@ -234,7 +244,7 @@ class MissCurve:
         # it is NaN or -inf. At a record the running max is utils[k].
         running = np.maximum.accumulate(utils)
         first = float(running[0])
-        flat: List[float] = [step, n]
+        flat: List[float] = [n]
         if first > -np.inf:
             flat += (0, first)
         for k in (running[1:] > running[:-1]).nonzero()[0].tolist():
@@ -244,9 +254,10 @@ class MissCurve:
             scans = self._scans
             if scans is None:
                 scans = self._scans = {}
-            scans.pop(start, None)
-            scans[start] = scan
-            if len(scans) > _SCAN_STORE_MAX:
+            key = (start, step)
+            scans.pop(key, None)
+            scans[key] = scan
+            if len(scans) > self.num_points + _SCAN_HEADROOM:
                 del scans[next(iter(scans))]
         return scan
 
@@ -327,6 +338,11 @@ class MissCurve:
 _COMBINE_CACHE: "OrderedDict[Tuple[bytes, ...], MissCurve]" = OrderedDict()
 _COMBINE_CACHE_MAX = 256
 
+#: Serialises every hit, insert and eviction on :data:`_COMBINE_CACHE`.
+#: Serve sessions decide concurrently, and an eviction landing between
+#: a hit's ``get`` and ``move_to_end`` would raise ``KeyError``.
+_COMBINE_LOCK = threading.Lock()
+
 
 def combine_curves(curves: Iterable[MissCurve]) -> MissCurve:
     """Combined miss curve of applications sharing one allocation.
@@ -352,10 +368,11 @@ def combine_curves(curves: Iterable[MissCurve]) -> MissCurve:
     if any(c.step != step for c in curve_list):
         raise ValueError("all curves must share the same step")
     key = tuple(c.fingerprint for c in curve_list)
-    cached = _COMBINE_CACHE.get(key)
-    if cached is not None:
-        _COMBINE_CACHE.move_to_end(key)
-        return cached
+    with _COMBINE_LOCK:
+        cached = _COMBINE_CACHE.get(key)
+        if cached is not None:
+            _COMBINE_CACHE.move_to_end(key)
+            return cached
     num_points = max(c.num_points for c in curve_list)
 
     # Lookahead allocation: repeatedly grant the multi-step extension with
@@ -398,7 +415,8 @@ def combine_curves(curves: Iterable[MissCurve]) -> MissCurve:
             granted += 1
             combined[granted] = sum(current)
     result = MissCurve(combined, step)
-    _COMBINE_CACHE[key] = result
-    while len(_COMBINE_CACHE) > _COMBINE_CACHE_MAX:
-        _COMBINE_CACHE.popitem(last=False)
+    with _COMBINE_LOCK:
+        _COMBINE_CACHE[key] = result
+        while len(_COMBINE_CACHE) > _COMBINE_CACHE_MAX:
+            _COMBINE_CACHE.popitem(last=False)
     return result

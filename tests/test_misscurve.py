@@ -3,12 +3,17 @@
 import sys
 import threading
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.misscurve import _SCAN_STORE_MAX, MissCurve, combine_curves
+from repro.cache import misscurve
+from repro.cache.misscurve import _SCAN_HEADROOM, MissCurve, combine_curves
+from repro.model.api import run_model
+from repro.model.workload import make_default_workload
+from repro.workloads.mixes import random_lc_mix
 
 
 def make_curve(values, step=1.0):
@@ -364,6 +369,24 @@ class _YieldingDict(dict):
         super().__delitem__(key)
 
 
+def _store_bound(curve):
+    return curve.num_points + _SCAN_HEADROOM
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Every ``(curve, start, step)`` that ``_scan_horizon`` scans."""
+    seen = []
+    real = MissCurve._scan_horizon
+
+    def counted(curve, start, step, n):
+        seen.append((curve.fingerprint, start, step))
+        return real(curve, start, step, n)
+
+    monkeypatch.setattr(MissCurve, "_scan_horizon", counted)
+    return seen
+
+
 class TestBestHorizon:
     @given(_scan_cases(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -410,12 +433,30 @@ class TestBestHorizon:
         with pytest.raises(ValueError):
             curve.best_horizon(-0.5, 1.0, 2)
 
+    def test_short_scan_serves_a_longer_request(self, scans):
+        curve = MissCurve(np.linspace(40.0, 0.0, 64) ** 2 / 40.0, 0.5)
+        for max_steps in (1, 5, 40, curve.num_points - 3):
+            assert curve.best_horizon(1.5, 0.5, max_steps) == _oracle(
+                curve, 1.5, 0.5, max_steps, -1.0
+            )
+        assert len(scans) == 1
+
+    def test_store_keeps_every_grid_start(self, scans):
+        curve = MissCurve(np.linspace(40.0, 0.0, 64) ** 2 / 40.0, 0.5)
+        grid = [0.5 * i for i in range(curve.num_points)]
+        for _ in range(3):
+            for start in grid:
+                curve.best_horizon(start, 0.5, 8)
+        assert len(scans) == curve.num_points
+
     def test_store_is_bounded_and_exact_after_eviction(self):
         curve = MissCurve(np.linspace(40.0, 0.0, 64) ** 2 / 40.0, 0.5)
-        starts = [0.5 * i + 0.1 for i in range(3 * _SCAN_STORE_MAX)]
+        bound = _store_bound(curve)
+        starts = [0.5 * i + 0.1 for i in range(3 * bound)]
         for start in starts:
             curve.best_horizon(start, 0.5, 20)
-            assert len(curve._scans) <= _SCAN_STORE_MAX
+            assert len(curve._scans) <= bound
+        assert len(curve._scans) == bound
         for start in starts:
             assert curve.best_horizon(start, 0.5, 20) == _oracle(
                 curve, start, 0.5, 20, -1.0
@@ -426,7 +467,7 @@ class TestBestHorizon:
         # A store that yields the GIL inside every eviction, so an
         # unserialised evict-and-insert would race on the same key.
         curve._scans = _YieldingDict()
-        starts = [0.25 * i for i in range(4 * _SCAN_STORE_MAX)]
+        starts = [0.25 * i for i in range(4 * _store_bound(curve))]
         expected = {
             (s, m): _oracle(curve, s, 0.5, m, -1.0)
             for s in starts for m in (5, 30)
@@ -461,4 +502,88 @@ class TestBestHorizon:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert all(r and all(r) for r in results)
-        assert len(curve._scans) <= _SCAN_STORE_MAX
+        assert len(curve._scans) <= _store_bound(curve)
+
+
+class _YieldingOrderedDict(OrderedDict):
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        time.sleep(0)
+        return value
+
+
+class TestCombineCache:
+    def test_concurrent_hits_and_evictions(self, monkeypatch):
+        # A cache that yields the GIL between a hit's lookup and its
+        # move to the end, and holds fewer entries than the keys in
+        # play, so an unserialised eviction lands in that gap.
+        monkeypatch.setattr(misscurve, "_COMBINE_CACHE",
+                            _YieldingOrderedDict())
+        monkeypatch.setattr(misscurve, "_COMBINE_CACHE_MAX", 4)
+        groups = [
+            [MissCurve(np.linspace(10.0 + i, 0.0, 8)),
+             MissCurve([6.0, 6.0, 6.0, 1.0, 0.5, 0.5, 0.5, 0.0 + i / 20])]
+            for i in range(12)
+        ]
+        expected = [combine_curves(g).values.tolist() for g in groups]
+        barrier = threading.Barrier(4, timeout=60)
+        errors = []
+        results = [[] for _ in range(4)]
+
+        def work(t):
+            try:
+                barrier.wait()
+                for _ in range(30):
+                    for i in list(range(t, 12)) + list(range(t)):
+                        got = combine_curves(groups[i]).values.tolist()
+                        results[t].append(got == expected[i])
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(t,)) for t in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(r and all(r) for r in results)
+        assert len(misscurve._COMBINE_CACHE) <= 4
+
+
+def _mix(seed):
+    return make_default_workload(
+        list(random_lc_mix(seed)), mix_seed=seed, load="high"
+    )
+
+
+class TestScanCountOnModelRounds:
+    """The placers' scans of a static workload are paid once.
+
+    The same two mixes run twice through VM-Part (UCP Lookahead over VM
+    curves) and Jumanji (``combine_curves`` and JumanjiLookahead) on
+    the 20-bank chip. Every curve of the second pass is a curve of the
+    first, so the second pass must replay every scan the first made.
+    """
+
+    def test_second_pass_rescans_nothing(self, scans):
+        seeds = [7101, 7102]
+
+        def one_pass():
+            for design in ("VM-Part", "Jumanji"):
+                run_model(design=design, workloads=[_mix(s) for s in seeds],
+                          seeds=seeds, epochs=3)
+
+        one_pass()
+        first = set(scans)
+        assert first
+        del scans[:]
+        one_pass()
+        assert not first & set(scans)
