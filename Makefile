@@ -3,8 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install test check check-faults check-resilience bench \
-	bench-smoke bench-tracesim bench-model bench-obs bench-fleet \
-	bench-serve bench-full examples figures clean
+	bench-tracesim bench-model bench-obs bench-fleet bench-serve \
+	bench-full examples figures clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -12,10 +12,10 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Tier-1 gate: the full test suite plus the bench smoke runs.
+# Tier-1 gate: the full test suite plus every `repro bench` suite at
+# smoke scale (bench-tracesim ... bench-serve, check-faults).
 check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
-	$(MAKE) bench-smoke
 	$(MAKE) bench-tracesim
 	$(MAKE) bench-model
 	$(MAKE) bench-obs
@@ -44,18 +44,12 @@ check-resilience:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Two-mix micro-sweep through the parallel runner (<60 s); writes
-# BENCH_sweeps.json with wall-clock, cells computed vs cache-hit, and
-# speedup vs the serial estimate.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro bench \
-	  --figures fig13 --mixes 2 --epochs 2
-
 # Tiny trace-simulator benchmark (seconds): times the array-backed
 # fast path against the frozen scalar reference on identical replayed
-# streams and shards two seed runs through the result cache. Writes to
-# a scratch path so the committed default-scale BENCH_tracesim.json
-# (regenerate with `python -m repro bench --suite tracesim`) survives.
+# streams and shards two seed runs through a throwaway result cache.
+# Writes to a scratch path so the committed default-scale
+# BENCH_tracesim.json (regenerate with
+# `python -m repro bench --suite tracesim`) survives.
 bench-tracesim:
 	PYTHONPATH=src $(PYTHON) -m repro bench --suite tracesim \
 	  --accesses 1000 --seeds 2 --output BENCH_tracesim_smoke.json
@@ -117,7 +111,7 @@ figures:
 
 clean:
 	rm -rf results/ .pytest_cache .benchmarks
-	rm -f BENCH_sweeps.json BENCH_tracesim_smoke.json \
+	rm -f BENCH_tracesim_smoke.json \
 	  BENCH_model_smoke.json BENCH_faults_smoke.json \
 	  BENCH_obs_smoke.json BENCH_fleet_smoke.json \
 	  BENCH_serve_smoke.json

@@ -1,72 +1,33 @@
-"""``repro bench``: timed sweep benchmarking with a machine-readable report.
+"""``repro bench``: gated suites, each writing one machine-readable report.
 
-Seven suites:
+:data:`SUITES` maps each ``--suite`` name to its run function, default
+report path, CLI-argument mapping and headline keys; :func:`cmd_bench`
+is the one driver. It runs the suite, stamps ``version``, ``suite`` and
+``code_fingerprint`` on the report, writes it (``--output``, default
+``BENCH_<suite>.json``), prints the headline keys and gates, and exits
+non-zero when the report's ``ok`` is false, so ``make check`` can gate
+on every suite:
 
-* ``--suite sweeps`` (default) runs the sweep-backed figures
-  (Fig. 13-18) through the parallel runner and writes
-  ``BENCH_sweeps.json`` recording, per figure: wall-clock seconds,
-  cells computed vs. served from the result cache, the estimated serial
-  cost (sum of per-cell compute durations), and the resulting speedup
-  vs. that serial baseline. The serial estimate comes from the
-  durations the cache records for every cell, so warm runs still report
-  an honest speedup without re-running the sweep serially.
+* ``tracesim`` — the array-backed trace simulator against the frozen
+  scalar reference on identical replayed streams, plus per-seed runs
+  sharded over the runner pool (:func:`run_tracesim_bench`);
+* ``model`` — the batched epoch engine against the frozen scalar
+  reference on the Fig. 13 loop, bit-identity and speedup floors
+  (:func:`run_model_bench`);
+* ``faults`` — the chaos smoke: clean vs. fault-injected sweeps on
+  throwaway caches plus the degraded-runtime drill
+  (:func:`run_faults_bench`);
+* ``obs`` — disabled-mode instrumentation overhead, span coverage and
+  metric determinism (:func:`run_obs_bench`);
+* ``fleet`` — same-seed determinism, invariants, the failure storm and
+  journal resume of the rack-scale layer (:func:`run_fleet_bench`);
+* ``serve`` — correctness, completeness and determinism of the
+  placement daemon under seeded synthetic tenants
+  (:func:`run_serve_bench`).
 
-* ``--suite tracesim`` benchmarks the array-backed trace-simulator fast
-  path (``repro.sim.tracesim``) against the frozen scalar reference
-  (``repro.sim.reference``) on byte-identical replayed streams, checks
-  the aggregate :class:`~repro.sim.tracesim.TraceStats` are
-  bit-identical, shards per-seed trace runs over the runner pool
-  (capped at 4 workers unless a job count is pinned — the cells are too
-  small to amortise a bigger pool), and writes ``BENCH_tracesim.json``.
-  ``--profile`` additionally dumps cProfile stats for one closed-loop
-  simulated epoch.
-
-* ``--suite model`` benchmarks the vectorised epoch engine against the
-  frozen scalar reference (``repro.model.reference``) on the Fig. 13
-  epoch loop: every (design, batch-mix) cell is run end-to-end through
-  :class:`~repro.model.system.SystemModel` under both engines with the
-  same seeds, the two :class:`~repro.model.system.RunResult` objects
-  are required to be bit-identical (``stats_identical``), and the
-  report records per-design and overall speedups plus placement-memo
-  hit counts. Exits non-zero if any cell diverges or the deadline memo
-  is unbounded. Writes ``BENCH_model.json``.
-
-* ``--suite faults`` is the chaos smoke: it runs one mini-sweep twice
-  on throwaway cache directories — once clean, once under a seeded
-  :class:`~repro.faults.FaultPlan` injecting worker crashes, handler
-  errors, and corrupt cache entries — and checks the outcomes are
-  bit-identical (fault tolerance must never change results, only cost).
-  It then re-runs over the now-dirty cache (quarantine + recompute
-  path) and finishes with a degraded-runtime drill verifying the
-  no-shared-banks security invariant holds through NaN/negative/dropped
-  telemetry and injected placer failures. Writes ``BENCH_faults.json``
-  and exits non-zero if any invariant breaks, so ``make check-faults``
-  can gate on it.
-
-* ``--suite obs`` gates the observability subsystem (``repro.obs``):
-  disabled-mode instrumentation overhead on the Fig. 13 epoch loop must
-  stay within :data:`OBS_OVERHEAD_GATE` of a fully stubbed run, an
-  enabled run must cover every span in :data:`OBS_REQUIRED_SPANS` with
-  a loadable trace, and two same-seed enabled runs must produce
-  identical metric snapshots. Writes ``BENCH_obs.json`` and exits
-  non-zero on any gate failure, so ``make bench-obs`` can gate on it.
-
-* ``--suite fleet`` gates the rack-scale layer (``repro.fleet``): one
-  seeded scenario (churn + flash crowds + rack-correlated failures) is
-  run twice end to end; the two canonical results must serialise
-  byte-identically (same-seed determinism), no conservation/capacity/
-  isolation invariant may break in either run, and the report records
-  chip-epochs/s throughput. Writes ``BENCH_fleet.json`` and exits
-  non-zero on any gate failure, so ``make bench-fleet`` can gate on it.
-
-* ``--suite serve`` gates the placement service (``repro.serve``): an
-  in-process daemon is driven twice by the same seeded synthetic-tenant
-  load (``N`` tenants x ``M`` telemetry posts each); both runs must
-  finish with zero errors and zero invariant violations, the decision
-  sequences must be byte-identical (same-seed determinism), and the
-  report records decisions/s and client-observed p95 decision latency.
-  Writes ``BENCH_serve.json`` and exits non-zero on any gate failure,
-  so ``make bench-serve`` can gate on it.
+End-to-end timing of what users run (cold sweeps, batched model runs,
+fleet churn, served decisions) lives in the ``bench`` package at the
+repository root, not here.
 """
 
 from __future__ import annotations
@@ -80,22 +41,16 @@ import pathlib
 import statistics
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .config import Settings
-from .runner import (
-    ResultCache,
-    collecting_stats,
-    code_fingerprint,
-    resolve_jobs,
-)
+from .runner import ResultCache, SweepRunner, code_fingerprint, resolve_jobs
 
 __all__ = [
-    "BENCH_FIGURES",
     "OBS_OVERHEAD_GATE",
     "OBS_REQUIRED_SPANS",
-    "run_bench",
+    "SUITES",
     "run_tracesim_bench",
     "run_model_bench",
     "run_faults_bench",
@@ -105,149 +60,6 @@ __all__ = [
     "add_bench_arguments",
     "cmd_bench",
 ]
-
-
-def _fig13(mixes: Optional[int], epochs: Optional[int],
-           jobs: Optional[int]) -> None:
-    from .experiments import fig13
-
-    fig13.run(mixes=mixes, epochs=epochs, jobs=jobs)
-
-
-def _fig14(mixes: Optional[int], epochs: Optional[int],
-           jobs: Optional[int]) -> None:
-    from .experiments import fig14
-
-    fig14.run(mixes=mixes, epochs=epochs, jobs=jobs)
-
-
-def _fig15(mixes: Optional[int], epochs: Optional[int],
-           jobs: Optional[int]) -> None:
-    from .experiments import fig15
-
-    fig15.run(mixes=mixes, epochs=epochs, jobs=jobs)
-
-
-def _fig16(mixes: Optional[int], epochs: Optional[int],
-           jobs: Optional[int]) -> None:
-    from .experiments import fig16
-
-    fig16.run(mixes=mixes, epochs=epochs, jobs=jobs)
-
-
-def _fig17(mixes: Optional[int], epochs: Optional[int],
-           jobs: Optional[int]) -> None:
-    from .experiments import fig17
-
-    fig17.run(mixes=mixes, epochs=epochs, jobs=jobs)
-
-
-def _fig18(mixes: Optional[int], epochs: Optional[int],
-           jobs: Optional[int]) -> None:
-    from .experiments import fig18
-
-    fig18.run(mixes=mixes, epochs=epochs, jobs=jobs)
-
-
-#: The sweep-backed figures ``repro bench`` can time.
-BENCH_FIGURES: Dict[str, Callable[..., None]] = {
-    "fig13": _fig13,
-    "fig14": _fig14,
-    "fig15": _fig15,
-    "fig16": _fig16,
-    "fig17": _fig17,
-    "fig18": _fig18,
-}
-
-
-def run_bench(
-    figures: Optional[List[str]] = None,
-    jobs: Optional[int] = None,
-    mixes: Optional[int] = None,
-    epochs: Optional[int] = None,
-    cold: bool = False,
-    output: Optional[os.PathLike] = None,
-) -> Dict[str, Any]:
-    """Benchmark the requested figures; returns (and writes) the report.
-
-    With ``cold=True`` the result cache is cleared first, so every cell
-    is recomputed. ``output`` defaults to ``BENCH_sweeps.json`` in the
-    current directory; pass ``output=""``/None-like falsy to skip
-    writing.
-    """
-    figures = list(figures) if figures else list(BENCH_FIGURES)
-    unknown = [f for f in figures if f not in BENCH_FIGURES]
-    if unknown:
-        raise ValueError(
-            f"unknown figures {unknown}; choose from "
-            f"{sorted(BENCH_FIGURES)}"
-        )
-    jobs_resolved = resolve_jobs(jobs)
-    cache = ResultCache()
-    if cold:
-        cache.clear()
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "code_fingerprint": code_fingerprint(),
-        "jobs": jobs_resolved,
-        "mixes": mixes,
-        "epochs": epochs,
-        "cold": cold,
-        "cache_dir": str(cache.directory),
-        "figures": {},
-    }
-    for name in figures:
-        with collecting_stats() as stats:
-            start = time.perf_counter()
-            BENCH_FIGURES[name](mixes=mixes, epochs=epochs, jobs=jobs)
-            wall = time.perf_counter() - start
-        entry = stats.as_dict()
-        # Figure wall-clock includes aggregation outside the runner.
-        entry["wall_seconds"] = wall
-        entry["speedup_vs_serial"] = (
-            entry["serial_seconds_estimate"] / wall
-            if wall > 0
-            else float("inf")
-        )
-        report["figures"][name] = entry
-    totals = {
-        "cells": sum(
-            f["cells"] for f in report["figures"].values()
-        ),
-        "computed": sum(
-            f["computed"] for f in report["figures"].values()
-        ),
-        "cache_hits": sum(
-            f["cache_hits"] for f in report["figures"].values()
-        ),
-        "wall_seconds": sum(
-            f["wall_seconds"] for f in report["figures"].values()
-        ),
-        "serial_seconds_estimate": sum(
-            f["serial_seconds_estimate"]
-            for f in report["figures"].values()
-        ),
-    }
-    totals["cache_hit_rate"] = (
-        totals["cache_hits"] / totals["cells"] if totals["cells"] else 0.0
-    )
-    totals["speedup_vs_serial"] = (
-        totals["serial_seconds_estimate"] / totals["wall_seconds"]
-        if totals["wall_seconds"] > 0
-        else float("inf")
-    )
-    report["total"] = totals
-    if output is None:
-        output = "BENCH_sweeps.json"
-    path = pathlib.Path(output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
-
-
-# --------------------------------------------------------------------------
-# tracesim suite
-# --------------------------------------------------------------------------
 
 
 def _tracesim_streams(
@@ -357,17 +169,16 @@ def run_tracesim_bench(
     accesses: int = 20_000,
     seeds: int = 4,
     jobs: Optional[int] = None,
-    cold: bool = False,
-    profile: bool = False,
-    output: Optional[os.PathLike] = None,
+    profile: Optional[os.PathLike] = None,
 ) -> Dict[str, Any]:
-    """Benchmark the trace-simulator fast path; write the report.
+    """Benchmark the trace-simulator fast path against the reference.
 
     ``accesses`` is the per-core round count of the timed comparison
     (and of each sharded run); ``seeds`` is how many independent
-    ``tracesim_run`` cells are fanned over the runner pool. With
-    ``cold=True`` the result cache is cleared first. ``output`` defaults
-    to ``BENCH_tracesim.json`` in the current directory.
+    ``tracesim_run`` cells are fanned over the runner pool, on a
+    throwaway result cache so every run computes every cell. With
+    ``profile`` set, cProfile stats of one closed-loop epoch are dumped
+    there.
     """
     from .config import SystemConfig
     from .sim.reference import ReferenceTraceSimulator
@@ -389,9 +200,6 @@ def run_tracesim_bench(
         shard_jobs = min(4, os.cpu_count() or 1)
     else:
         shard_jobs = jobs_resolved
-    cache = ResultCache()
-    if cold:
-        cache.clear()
     config = SystemConfig()
     streams = _tracesim_streams(accesses, config)
     total = accesses * config.num_cores
@@ -403,7 +211,8 @@ def run_tracesim_bench(
         _replay_sim(ReferenceTraceSimulator, streams, config), accesses
     )
 
-    # Sharded per-seed runs through the pool + content-addressed cache.
+    # Sharded per-seed runs through the pool and an empty cache: the
+    # user's shared cache would serve a second run without computing.
     run_specs = [
         {
             "cores": [
@@ -428,17 +237,15 @@ def run_tracesim_bench(
         }
         for seed in range(seeds)
     ]
-    shard_start = time.perf_counter()
-    _, runner = shard_tracesim_runs(run_specs, jobs=shard_jobs)
-    shard_wall = time.perf_counter() - shard_start
+    with tempfile.TemporaryDirectory(prefix="repro-tracesim-") as tmp:
+        runner = SweepRunner(jobs=shard_jobs, cache=ResultCache(tmp))
+        shard_start = time.perf_counter()
+        shard_tracesim_runs(run_specs, runner=runner)
+        shard_wall = time.perf_counter() - shard_start
 
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "suite": "tracesim",
-        "code_fingerprint": code_fingerprint(),
+    stats_identical = fast_stats == ref_stats
+    return {
         "jobs": jobs_resolved,
-        "cold": cold,
-        "cache_dir": str(cache.directory),
         "workload": {
             "cores": config.num_cores,
             "accesses_per_core": accesses,
@@ -453,75 +260,18 @@ def run_tracesim_bench(
             "accesses_per_sec": total / fast_wall,
         },
         "speedup_vs_scalar": ref_wall / fast_wall,
-        "stats_identical": fast_stats == ref_stats,
+        "stats_identical": stats_identical,
         "sharded_runs": dict(
             runner.stats.as_dict(),
             seeds=seeds,
             pool_jobs=shard_jobs,
             wall_seconds=shard_wall,
         ),
-        "profile": None,
+        "profile": _profile_epoch(
+            pathlib.Path(profile), min(accesses, 5000)
+        ) if profile else None,
+        "ok": stats_identical,
     }
-    if output is None:
-        output = "BENCH_tracesim.json"
-    path = pathlib.Path(output)
-    if profile:
-        report["profile"] = _profile_epoch(
-            path.with_suffix(".prof"), min(accesses, 5000)
-        )
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
-
-
-def cmd_tracesim_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench --suite tracesim``."""
-    output = args.output
-    if output == "BENCH_sweeps.json":
-        # Default output name follows the suite.
-        output = "BENCH_tracesim.json"
-    report = run_tracesim_bench(
-        accesses=args.accesses,
-        seeds=args.seeds,
-        jobs=args.jobs,
-        cold=args.cold,
-        profile=args.profile,
-        output=output,
-    )
-    ref = report["scalar_reference"]
-    fast = report["fast_path"]
-    shards = report["sharded_runs"]
-    print(
-        f"tracesim: {report['workload']['total_accesses']:,} accesses "
-        f"x {report['workload']['cores']} cores, jobs={report['jobs']}"
-    )
-    print(
-        f"  scalar reference: {ref['accesses_per_sec']:,.0f} acc/s "
-        f"({ref['wall_seconds']:.2f}s)"
-    )
-    print(
-        f"  fast path:        {fast['accesses_per_sec']:,.0f} acc/s "
-        f"({fast['wall_seconds']:.2f}s)"
-    )
-    print(
-        f"  speedup {report['speedup_vs_scalar']:.2f}x, stats "
-        f"identical: {report['stats_identical']}"
-    )
-    print(
-        f"  sharded runs: {shards['computed']} computed + "
-        f"{shards['cache_hits']} cached cells in "
-        f"{shards['wall_seconds']:.2f}s "
-        f"(pool of {shards['pool_jobs']})"
-    )
-    if report["profile"]:
-        print(f"  profile: {report['profile']['path']}")
-    print(f"wrote {report['output']}")
-    return 0
-
-
-# --------------------------------------------------------------------------
-# model suite (vectorised epoch engine vs scalar reference)
-# --------------------------------------------------------------------------
 
 
 def _canonical_run_result(result) -> Tuple:
@@ -586,7 +336,6 @@ def run_model_bench(
     designs: Optional[List[str]] = None,
     lc_workload: str = "xapian",
     load: str = "high",
-    output: Optional[os.PathLike] = None,
 ) -> Dict[str, Any]:
     """Benchmark the batched multi-mix epoch engine on the Fig. 13 loop.
 
@@ -599,8 +348,7 @@ def run_model_bench(
     ``lru_cache`` both engines hit) so the timing covers the epoch loop
     itself. Per-design speedups are gated against
     :data:`MODEL_SPEEDUP_FLOORS` when ``mixes`` is at least
-    :data:`MODEL_FLOOR_MIXES`. ``output`` defaults to
-    ``BENCH_model.json``.
+    :data:`MODEL_FLOOR_MIXES`.
     """
     from .core.designs import make_design
     from .experiments.common import (
@@ -720,10 +468,7 @@ def run_model_bench(
                 stages_total.get(stage, 0.0) + seconds
             )
     info = deadline_cache_info()
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "suite": "model",
-        "code_fingerprint": code_fingerprint(),
+    return {
         "workload": {
             "designs": designs,
             "lc_workload": lc_workload,
@@ -758,74 +503,6 @@ def run_model_bench(
         and floors_ok
         and info.maxsize is not None,
     }
-    if output is None:
-        output = "BENCH_model.json"
-    path = pathlib.Path(output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
-
-
-def cmd_model_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench --suite model``."""
-    settings = Settings.from_env()
-    output = args.output
-    if output == "BENCH_sweeps.json":
-        output = "BENCH_model.json"
-    mixes = args.mixes
-    if mixes is None:
-        mixes = settings.bench_mixes
-    if mixes is None:
-        mixes = 2
-    epochs = args.epochs
-    if epochs is None:
-        epochs = settings.bench_epochs
-    report = run_model_bench(
-        mixes=mixes,
-        epochs=epochs,
-        output=output,
-    )
-    wl = report["workload"]
-    print(
-        f"model: {len(wl['designs'])} designs x {wl['mixes']} mixes "
-        f"x {wl['epochs']} epochs ({wl['lc_workload']}/{wl['load']})"
-    )
-    for name, entry in report["per_design"].items():
-        flag = "" if entry["floor_ok"] else "  << BELOW FLOOR"
-        print(
-            f"  {name:<10s} batch {entry['batch_seconds']:.2f}s vs "
-            f"reference {entry['reference_seconds']:.2f}s "
-            f"({entry['speedup']:.2f}x, floor "
-            f"{entry['speedup_floor']:.1f}x, "
-            f"{entry['memo_hits']} memo hits){flag}"
-        )
-        st = entry["stages"]
-        print(
-            f"  {'':<10s} stages: placer {st['placer']:.2f}s, "
-            f"memo {st['memo']:.2f}s, queueing {st['queueing']:.2f}s, "
-            f"metrics {st['metrics']:.2f}s"
-        )
-    print(
-        f"  overall: {report['speedup']:.2f}x "
-        f"(floor {report['speedup_floor']:.1f}x"
-        f"{', enforced' if report['floors_enforced'] else ', smoke'}), "
-        f"stats identical: {report['stats_identical']}, "
-        f"deadline cache bounded: "
-        f"{report['deadline_cache']['bounded']}"
-    )
-    print(f"wrote {report['output']}")
-    if not report["ok"]:
-        print(
-            "MODEL SUITE FAILED: engines diverged, a speedup floor "
-            "was missed, or the deadline cache is unbounded"
-        )
-        return 1
-    return 0
-
-
-# --------------------------------------------------------------------------
-# faults suite (chaos smoke)
-# --------------------------------------------------------------------------
 
 
 def run_faults_bench(
@@ -834,7 +511,6 @@ def run_faults_bench(
     mixes: int = 2,
     epochs: int = 3,
     drill_epochs: int = 12,
-    output: Optional[os.PathLike] = None,
 ) -> Dict[str, Any]:
     """The chaos smoke: differential sweep + degraded-runtime drill.
 
@@ -846,7 +522,6 @@ def run_faults_bench(
     clean one *and* the drill never violated bank isolation.
     """
     import shutil
-    import tempfile
 
     from .chaos import degraded_runtime_cell, differential_sweep
     from .faults import FaultPlan
@@ -915,10 +590,7 @@ def run_faults_bench(
     )
 
     ok = bool(cold_identical and warm_identical and drill["isolation_ok"])
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "suite": "faults",
-        "code_fingerprint": code_fingerprint(),
+    return {
         "jobs": jobs_resolved,
         "fault_seed": fault_seed,
         "sweep_plan": sweep_plan.as_params(),
@@ -942,59 +614,6 @@ def run_faults_bench(
         },
         "ok": ok,
     }
-    if output is None:
-        output = "BENCH_faults.json"
-    path = pathlib.Path(output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
-
-
-def cmd_faults_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench --suite faults``."""
-    output = args.output
-    if output == "BENCH_sweeps.json":
-        output = "BENCH_faults.json"
-    report = run_faults_bench(
-        fault_seed=args.fault_seed,
-        jobs=args.jobs,
-        mixes=args.mixes if args.mixes is not None else 2,
-        epochs=args.epochs if args.epochs is not None else 3,
-        output=output,
-    )
-    diff = report["differential"]
-    drill = report["drill"]
-    print(
-        f"faults: seed={report['fault_seed']}, jobs={report['jobs']}, "
-        f"{diff['cells']} sweep cells"
-    )
-    print(
-        f"  cold chaos sweep: identical={diff['cold_identical']} "
-        f"({diff['cold_wall_seconds']:.2f}s, "
-        f"{diff['cold_stats']['retries']} retries, "
-        f"{diff['cold_stats']['pool_respawns']} pool respawns)"
-    )
-    print(
-        f"  warm chaos sweep: identical={diff['warm_identical']} "
-        f"({diff['warm_wall_seconds']:.2f}s, "
-        f"{diff['warm_stats']['quarantined']} quarantined)"
-    )
-    print(
-        f"  degraded-runtime drill: isolation_ok={drill['isolation_ok']} "
-        f"over {drill['epochs']} epochs "
-        f"({len(drill['degraded_epochs'])} degraded, "
-        f"{drill['telemetry_events']} telemetry drops)"
-    )
-    print(f"wrote {report['output']}")
-    if not report["ok"]:
-        print("FAULT SUITE FAILED: see report above")
-        return 1
-    return 0
-
-
-# --------------------------------------------------------------------------
-# obs suite (observability overhead gate)
-# --------------------------------------------------------------------------
 
 
 #: Span names a traced model run must produce for the observability
@@ -1022,7 +641,6 @@ def run_obs_bench(
     repeats: int = 51,
     lc_workload: str = "xapian",
     load: str = "high",
-    output: Optional[os.PathLike] = None,
 ) -> Dict[str, Any]:
     """Gate the observability subsystem: zero-cost off, complete on.
 
@@ -1041,8 +659,6 @@ def run_obs_bench(
     * **determinism** — two enabled same-seed runs must produce
       identical metric snapshots (no wall-clock leaks into values).
     """
-    import tempfile
-
     from . import obs
     from .core.designs import make_design
     from .experiments.common import num_epochs, run_seed
@@ -1128,10 +744,7 @@ def run_obs_bench(
     deterministic = snapshots[0] == snapshots[1]
 
     ok = overhead_ok and coverage_ok and deterministic
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "suite": "obs",
-        "code_fingerprint": code_fingerprint(),
+    return {
         "workload": {
             "design": "Jumanji",
             "lc_workload": lc_workload,
@@ -1158,53 +771,12 @@ def run_obs_bench(
         "determinism": {"identical_snapshots": deterministic},
         "ok": ok,
     }
-    if output is None:
-        output = "BENCH_obs.json"
-    path = pathlib.Path(output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
-
-
-def cmd_obs_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench --suite obs``."""
-    output = args.output
-    if output == "BENCH_sweeps.json":
-        output = "BENCH_obs.json"
-    report = run_obs_bench(epochs=args.epochs, output=output)
-    wl = report["workload"]
-    oh = report["overhead"]
-    cov = report["coverage"]
-    print(
-        f"obs: {wl['design']}/{wl['lc_workload']}/{wl['load']}, "
-        f"{wl['epochs']} epochs x {wl['repeats']} repeats"
-    )
-    q1, _, q3 = oh["overhead_quartiles"]
-    print(
-        f"  disabled overhead: {oh['overhead']:+.2%} median of "
-        f"{wl['repeats']} pairs (gate {oh['gate']:.0%}, quartiles "
-        f"{q1:+.2%} / {q3:+.2%})"
-    )
-    print(
-        f"  span coverage: {len(cov['spans'])} names, "
-        f"missing: {cov['missing'] or 'none'}"
-    )
-    print(
-        f"  deterministic metrics: "
-        f"{report['determinism']['identical_snapshots']}"
-    )
-    print(f"wrote {report['output']}")
-    if not report["ok"]:
-        print("OBS SUITE FAILED: see report above")
-        return 1
-    return 0
 
 
 def run_fleet_bench(
     chips: Optional[int] = None,
     epochs: Optional[int] = None,
     seed: int = 0,
-    output: Optional[os.PathLike] = None,
 ) -> Dict[str, Any]:
     """Gate the rack-scale fleet layer: determinism + invariants.
 
@@ -1342,10 +914,7 @@ def run_fleet_bench(
         deterministic and invariants_ok and storm_ok
         and resume_identical
     )
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "suite": "fleet",
-        "code_fingerprint": code_fingerprint(),
+    return {
         "scenario": scenario.as_params(),
         "runs": runs,
         "chip_epochs_per_s": min(
@@ -1371,62 +940,6 @@ def run_fleet_bench(
         },
         "ok": ok,
     }
-    if output is None:
-        output = "BENCH_fleet.json"
-    path = pathlib.Path(output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
-
-
-def cmd_fleet_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench --suite fleet``."""
-    output = args.output
-    if output == "BENCH_sweeps.json":
-        output = "BENCH_fleet.json"
-    report = run_fleet_bench(
-        chips=args.chips,
-        epochs=args.epochs,
-        seed=args.fault_seed,
-        output=output,
-    )
-    sc = report["scenario"]
-    print(
-        f"fleet: {sc['chips']} chips x {sc['epochs']} epochs, "
-        f"seed {sc['seed']}"
-    )
-    for i, run in enumerate(report["runs"]):
-        counters = run["counters"]
-        print(
-            f"  run {i}: {run['wall_seconds']:.2f}s "
-            f"({run['chip_epochs_per_s']:.0f} chip-epochs/s), "
-            f"{counters['admissions']} admissions, "
-            f"{counters['migrations']} migrations, "
-            f"{counters['chips_lost']} chips lost, "
-            f"{len(run['invariant_violations'])} violations"
-        )
-    print(
-        f"  deterministic results: "
-        f"{report['determinism']['identical_results']}"
-    )
-    res = report["resilience"]
-    print(
-        f"  resilience storm: {res['counters']['repairs']} repairs, "
-        f"{len(res['repaired_serving'])} repaired chip(s) serving, "
-        f"{len(res['invariant_violations'])} violations "
-        f"-> {'ok' if res['ok'] else 'FAILED'}"
-    )
-    ck = report["checkpoint"]
-    print(
-        f"  checkpoint/resume: killed at epoch "
-        f"{ck['interrupted_at_epoch']}, byte-identical resume: "
-        f"{ck['resume_identical']}"
-    )
-    print(f"wrote {report['output']}")
-    if not report["ok"]:
-        print("FLEET SUITE FAILED: see report above")
-        return 1
-    return 0
 
 
 #: Daemon-side stages of one decision, in request order (``obs`` span
@@ -1522,10 +1035,9 @@ def _serve_stage_table(scripts) -> Dict[str, Any]:
 
 
 def run_serve_bench(
-    tenants: Optional[int] = None,
-    requests: Optional[int] = None,
+    tenants: int = 40,
+    requests: int = 25,
     seed: int = 0,
-    output: Optional[os.PathLike] = None,
 ) -> Dict[str, Any]:
     """Gate the placement service: throughput + determinism.
 
@@ -1550,11 +1062,6 @@ def run_serve_bench(
     """
     from .serve import ServeDaemon
     from .serve.loadgen import build_scripts, run_loadgen
-
-    if tenants is None:
-        tenants = 40
-    if requests is None:
-        requests = 25
 
     runs: List[Dict[str, Any]] = []
     fingerprints: List[Dict[int, List[str]]] = []
@@ -1592,10 +1099,7 @@ def run_serve_bench(
     )
     deterministic = fingerprints[0] == fingerprints[1]
     ok = correct and complete and deterministic
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "suite": "serve",
-        "code_fingerprint": code_fingerprint(),
+    return {
         "tenants": tenants,
         "requests_per_tenant": requests,
         "seed": seed,
@@ -1607,199 +1111,171 @@ def run_serve_bench(
         "stages": stages,
         "ok": ok,
     }
-    if output is None:
-        output = "BENCH_serve.json"
-    path = pathlib.Path(output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench --suite serve``."""
-    output = args.output
-    if output == "BENCH_sweeps.json":
-        output = "BENCH_serve.json"
-    report = run_serve_bench(
-        tenants=args.tenants,
-        requests=args.requests,
-        seed=args.fault_seed,
-        output=output,
-    )
-    print(
-        f"serve: {report['tenants']} tenants x "
-        f"{report['requests_per_tenant']} requests, "
-        f"seed {report['seed']}"
-    )
-    for i, run in enumerate(report["runs"]):
-        print(
-            f"  run {i}: {run['decisions']} decisions in "
-            f"{run['wall_seconds']:.2f}s "
-            f"({run['decisions_per_s']:.0f}/s), "
-            f"p95 {run['p95_decision_ms']:.1f} ms, "
-            f"{len(run['errors'])} errors, "
-            f"{len(run['invariant_violations'])} violations"
-        )
-    print(
-        f"  deterministic decisions: "
-        f"{report['determinism']['identical_decisions']}"
-    )
-    stages = report["stages"]
-    print(
-        f"  daemon stages, mean ms per decision "
-        f"({stages['decisions']} sequential decisions, obs on):"
-    )
-    for name, ms in stages["stage_mean_ms"].items():
-        print(f"    {name:<10} {ms:8.3f}")
-    print(f"    {'request':<10} {stages['request_mean_ms']:8.3f}")
-    print(
-        f"  round trip: mean {stages['roundtrip_mean_ms']:.3f} ms, "
-        f"p50 {stages['roundtrip_p50_ms']:.3f}, "
-        f"p95 {stages['roundtrip_p95_ms']:.3f}"
-    )
-    print(
-        f"  in-process decide (obs on): mean "
-        f"{stages['inprocess_decide_mean_ms']:.3f} ms, "
-        f"p50 {stages['inprocess_decide_p50_ms']:.3f}, "
-        f"p95 {stages['inprocess_decide_p95_ms']:.3f}"
-    )
-    print(
-        f"  HTTP overhead (round-trip mean / in-process mean): "
-        f"{stages['http_overhead_ratio']:.2f}x"
-    )
-    print(f"wrote {report['output']}")
-    if not report["ok"]:
-        print("SERVE SUITE FAILED: see report above")
-        return 1
-    return 0
+class Suite(NamedTuple):
+    """One ``repro bench`` suite: what runs it and what it reports."""
+
+    #: Measures and gates; returns the report with its verdict in ``ok``.
+    run: Callable[..., Dict[str, Any]]
+    #: Report path when ``--output`` is not given.
+    output: str
+    #: The run function's keyword arguments from the parsed CLI
+    #: arguments and the resolved report path.
+    kwargs: Callable[[argparse.Namespace, pathlib.Path], Dict[str, Any]]
+    #: Dotted report keys printed after a run: headline numbers, then
+    #: the gates behind ``ok``.
+    headline: Tuple[str, ...]
+
+
+def _given(**kwargs: Any) -> Dict[str, Any]:
+    """``kwargs`` minus the options left unset on the command line."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
+SUITES: Dict[str, Suite] = {
+    "tracesim": Suite(
+        run_tracesim_bench,
+        "BENCH_tracesim.json",
+        lambda a, path: _given(
+            accesses=a.accesses, seeds=a.seeds, jobs=a.jobs,
+            profile=path.with_suffix(".prof") if a.profile else None,
+        ),
+        (
+            "speedup_vs_scalar", "fast_path.accesses_per_sec",
+            "scalar_reference.accesses_per_sec", "sharded_runs.computed",
+            "sharded_runs.cache_hits", "sharded_runs.wall_seconds",
+            "stats_identical",
+        ),
+    ),
+    "model": Suite(
+        run_model_bench,
+        "BENCH_model.json",
+        lambda a, path: _given(mixes=a.mixes, epochs=a.epochs),
+        (
+            "speedup", "batch_seconds", "reference_seconds",
+            "stages.placer", "speedup_floor", "floors_ok",
+            "stats_identical", "deadline_cache.bounded",
+        ),
+    ),
+    "faults": Suite(
+        run_faults_bench,
+        "BENCH_faults.json",
+        lambda a, path: _given(
+            fault_seed=a.fault_seed, jobs=a.jobs, mixes=a.mixes,
+            epochs=a.epochs,
+        ),
+        (
+            "differential.cells", "differential.cold_stats.retries",
+            "differential.warm_stats.quarantined",
+            "differential.cold_identical", "differential.warm_identical",
+            "drill.isolation_ok",
+        ),
+    ),
+    "obs": Suite(
+        run_obs_bench,
+        "BENCH_obs.json",
+        lambda a, path: _given(epochs=a.epochs),
+        (
+            "overhead.overhead", "overhead.overhead_quartiles",
+            "overhead.ok", "coverage.missing", "coverage.ok",
+            "determinism.identical_snapshots",
+        ),
+    ),
+    "fleet": Suite(
+        run_fleet_bench,
+        "BENCH_fleet.json",
+        lambda a, path: _given(
+            chips=a.chips, epochs=a.epochs, seed=a.fault_seed
+        ),
+        (
+            "chip_epochs_per_s", "resilience.counters.repairs",
+            "determinism.identical_results", "invariants.ok",
+            "resilience.ok", "checkpoint.resume_identical",
+        ),
+    ),
+    "serve": Suite(
+        run_serve_bench,
+        "BENCH_serve.json",
+        lambda a, path: _given(
+            tenants=a.tenants, requests=a.requests, seed=a.fault_seed
+        ),
+        (
+            "decisions_per_s", "p95_decision_ms",
+            "stages.http_overhead_ratio", "invariants.ok",
+            "invariants.complete", "determinism.identical_decisions",
+        ),
+    ),
+}
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach ``repro bench`` options to a subparser."""
     parser.add_argument(
         "--suite",
-        choices=("sweeps", "tracesim", "model", "faults", "obs",
-                 "fleet", "serve"),
-        default="sweeps",
-        help="what to benchmark: figure sweeps (default), the "
-        "trace-simulator fast path, the vectorised epoch engine, "
-        "the fault-injection chaos smoke, the observability "
-        "overhead gate, the rack-scale fleet gate, or the "
-        "placement-service gate",
+        choices=list(SUITES),
+        required=True,
+        help="; ".join(
+            f"{name}: {suite.run.__doc__.splitlines()[0].rstrip('.')}"
+            for name, suite in SUITES.items()
+        ),
     )
-    parser.add_argument(
-        "--figures",
-        nargs="+",
-        choices=sorted(BENCH_FIGURES),
-        default=None,
-        help="figures to benchmark (default: all sweep figures)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel workers (default: REPRO_JOBS or cpu count)",
-    )
-    parser.add_argument("--mixes", type=int, default=None,
+    # Unset options fall through to the run function's defaults.
+    parser.add_argument("--jobs", type=int,
+                        help="parallel workers (default: REPRO_JOBS or "
+                        "cpu count)")
+    parser.add_argument("--mixes", type=int,
                         help="batch mixes per workload")
-    parser.add_argument("--epochs", type=int, default=None,
-                        help="epochs per run")
-    parser.add_argument(
-        "--cold",
-        action="store_true",
-        help="clear the result cache first (force full recompute)",
-    )
-    parser.add_argument(
-        "--output",
-        default="BENCH_sweeps.json",
-        help="report path (default BENCH_sweeps.json, or "
-        "BENCH_tracesim.json for --suite tracesim)",
-    )
-    parser.add_argument(
-        "--accesses",
-        type=int,
-        default=20_000,
-        help="tracesim suite: accesses per core (default 20000)",
-    )
-    parser.add_argument(
-        "--seeds",
-        type=int,
-        default=4,
-        help="tracesim suite: independent sharded seed runs "
-        "(default 4)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="tracesim suite: dump cProfile stats for one simulated "
-        "epoch next to the report",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="faults/fleet suite: scenario + FaultPlan seed "
-        "(default 0)",
-    )
-    parser.add_argument(
-        "--chips",
-        type=int,
-        default=None,
-        help="fleet suite: sockets in the fleet "
-        "(default REPRO_FLEET_CHIPS or 32)",
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int,
-        default=None,
-        help="serve suite: concurrent tenant sessions (default 40)",
-    )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=None,
-        help="serve suite: telemetry posts per tenant (default 25)",
-    )
+    parser.add_argument("--epochs", type=int, help="epochs per run")
+    parser.add_argument("--output",
+                        help="report path (default BENCH_<suite>.json)")
+    parser.add_argument("--accesses", type=int,
+                        help="tracesim: accesses per core (default 20000)")
+    parser.add_argument("--seeds", type=int,
+                        help="tracesim: independent sharded seed runs "
+                        "(default 4)")
+    parser.add_argument("--profile", action="store_true",
+                        help="tracesim: dump cProfile stats for one "
+                        "simulated epoch next to the report")
+    parser.add_argument("--fault-seed", type=int,
+                        help="faults/fleet/serve: scenario and FaultPlan "
+                        "seed (default 0)")
+    parser.add_argument("--chips", type=int,
+                        help="fleet: sockets in the fleet "
+                        "(default REPRO_FLEET_CHIPS or 32)")
+    parser.add_argument("--tenants", type=int,
+                        help="serve: concurrent tenant sessions "
+                        "(default 40)")
+    parser.add_argument("--requests", type=int,
+                        help="serve: telemetry posts per tenant "
+                        "(default 25)")
+
+
+def _lookup(report: Dict[str, Any], dotted: str) -> Any:
+    for key in dotted.split("."):
+        report = report[key]
+    return report
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench``."""
-    if args.suite == "tracesim":
-        return cmd_tracesim_bench(args)
-    if args.suite == "model":
-        return cmd_model_bench(args)
-    if args.suite == "faults":
-        return cmd_faults_bench(args)
-    if args.suite == "obs":
-        return cmd_obs_bench(args)
-    if args.suite == "fleet":
-        return cmd_fleet_bench(args)
-    if args.suite == "serve":
-        return cmd_serve_bench(args)
-    report = run_bench(
-        figures=args.figures,
-        jobs=args.jobs,
-        mixes=args.mixes,
-        epochs=args.epochs,
-        cold=args.cold,
-        output=args.output,
-    )
-    print(
-        f"bench: {len(report['figures'])} figure(s), "
-        f"jobs={report['jobs']}, cache={report['cache_dir']}"
-    )
-    for name, entry in report["figures"].items():
-        print(
-            f"  {name}: {entry['wall_seconds']:.2f}s wall, "
-            f"{entry['computed']} computed + "
-            f"{entry['cache_hits']} cached cells, "
-            f"{entry['speedup_vs_serial']:.1f}x vs serial"
-        )
-    total = report["total"]
-    print(
-        f"  total: {total['wall_seconds']:.2f}s wall, "
-        f"cache hit rate {total['cache_hit_rate']:.0%}, "
-        f"{total['speedup_vs_serial']:.1f}x vs serial"
-    )
-    print(f"wrote {report['output']}")
+    """CLI entry point for ``repro bench``: run, stamp, write, print."""
+    suite = SUITES[args.suite]
+    path = pathlib.Path(args.output or suite.output)
+    report = {
+        "version": __version__,
+        "suite": args.suite,
+        "code_fingerprint": code_fingerprint(),
+        **suite.run(**suite.kwargs(args, path)),
+    }
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"{args.suite}:")
+    for key in suite.headline:
+        value = _lookup(report, key)
+        print(f"  {key}: {value:.6g}" if isinstance(value, float)
+              else f"  {key}: {value}")
+    print(f"  ok: {report['ok']}")
+    print(f"wrote {path}")
+    if not report["ok"]:
+        print(f"{args.suite.upper()} SUITE FAILED: see {path}")
+        return 1
     return 0

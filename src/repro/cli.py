@@ -6,11 +6,9 @@ Commands:
 * ``run``                  — run one design on one workload, print metrics
 * ``figure <name>``        — regenerate one of the paper's figures/tables
 * ``fleet run``            — rack-scale fleet simulation over many chips
-* ``bench``                — benchmark suites: sweep figures (default),
-  the trace-simulator fast path (``--suite tracesim``), the
-  fault-injection chaos smoke (``--suite faults``), the observability
-  overhead gate (``--suite obs``), or the fleet gate (``--suite
-  fleet``)
+* ``bench --suite <name>`` — gated benchmark suites
+  (:data:`repro.bench.SUITES`): ``tracesim``, ``model``, ``faults``,
+  ``obs``, ``fleet`` and ``serve``; each writes ``BENCH_<name>.json``
 * ``serve run``            — placement-as-a-service HTTP daemon
   (:mod:`repro.serve`); ``serve loadgen`` drives it with N synthetic
   tenants and prints throughput/latency
@@ -172,13 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_outputs(frun)
 
-    from .bench import add_bench_arguments
+    from .bench import SUITES, add_bench_arguments
 
     bench = sub.add_parser(
-        "bench",
-        help="benchmark suites: sweeps (default), tracesim, model, "
-        "the faults chaos smoke, the obs overhead gate, or the "
-        "fleet gate",
+        "bench", help="gated benchmark suites: " + ", ".join(SUITES)
     )
     add_bench_arguments(bench)
 

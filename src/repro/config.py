@@ -316,14 +316,6 @@ class Settings:
     #: ``REPRO_FLEET_CHECKPOINT`` — default ``repro fleet run
     #: --checkpoint`` journal path (crash-safe resume).
     fleet_checkpoint: Optional[str] = None
-    #: ``REPRO_BENCH_MIXES`` — default ``bench --suite model`` mix count.
-    bench_mixes: Optional[int] = None
-    #: ``REPRO_BENCH_EPOCHS`` — default ``bench --suite model`` epochs.
-    bench_epochs: Optional[int] = None
-    #: ``REPRO_SHM_ARENA_BYTES`` — shared-memory result arena size for
-    #: parallel sweeps (0 disables the arena; results then travel
-    #: through the pool pipe as pickles).
-    shm_arena_bytes: Optional[int] = None
     #: ``REPRO_SERVE_HOST`` — default bind address for ``repro serve``.
     serve_host: Optional[str] = None
     #: ``REPRO_SERVE_PORT`` — default port for ``repro serve`` (0 asks
@@ -377,9 +369,6 @@ class Settings:
             fleet_chips=_positive_int(env, "REPRO_FLEET_CHIPS"),
             fleet_epochs=_positive_int(env, "REPRO_FLEET_EPOCHS"),
             fleet_checkpoint=_clean(env, "REPRO_FLEET_CHECKPOINT"),
-            bench_mixes=_positive_int(env, "REPRO_BENCH_MIXES"),
-            bench_epochs=_positive_int(env, "REPRO_BENCH_EPOCHS"),
-            shm_arena_bytes=_nonneg_int(env, "REPRO_SHM_ARENA_BYTES"),
             serve_host=_clean(env, "REPRO_SERVE_HOST"),
             serve_port=_nonneg_int(env, "REPRO_SERVE_PORT"),
             serve_max_body=_positive_int(env, "REPRO_SERVE_MAX_BODY"),

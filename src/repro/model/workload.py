@@ -54,6 +54,11 @@ class WorkloadSpec:
         self._tiles: Dict[str, int] = {}
         for vm in self.vms:
             for core, app in zip(vm.cores, vm.apps):
+                if not 0 <= core < self.config.num_cores:
+                    raise ValueError(
+                        f"app {app!r} is placed on core {core}, but the "
+                        f"chip has {self.config.num_cores} cores"
+                    )
                 self._tiles[app] = core
         self._lc_profiles: Dict[str, LatencyCriticalProfile] = {
             a: get_lc_profile(base_app(a))

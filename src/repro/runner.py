@@ -42,9 +42,9 @@ Failure handling (see :mod:`repro.errors` for the taxonomy):
 
 Cache layout: ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-sweeps``),
 one pickle per cell at ``<key[:2]>/<key>.pkl``. The cache is safe to
-delete wholesale at any time (``repro bench --cold`` does exactly
-that); entries are also invalidated implicitly whenever the package
-source changes, because the code fingerprint is part of every key.
+delete wholesale at any time; entries are also invalidated implicitly
+whenever the package source changes, because the code fingerprint is
+part of every key. Workers return results through the pool's pipe.
 """
 
 from __future__ import annotations
@@ -473,114 +473,6 @@ def get_or_compute(
 
 
 # --------------------------------------------------------------------------
-# Zero-copy result transport (shared-memory arena)
-# --------------------------------------------------------------------------
-
-
-#: Default per-sweep arena size. Big enough for any figure sweep's
-#: results; cells overflowing it transparently fall back to pickling
-#: their payload through the pool's pipe.
-SHM_ARENA_BYTES = 64 << 20
-
-
-class _ShmCorrupt(Exception):
-    """A shared-memory envelope failed checksum or unpickling."""
-
-
-class _ShmArena:
-    """Per-sweep ``multiprocessing.shared_memory`` result arena.
-
-    Workers bump-allocate a span, write their pickled ``ok`` payload
-    into it, and send back only a tiny ``("shm", offset, length,
-    sha256)`` envelope; the parent verifies the digest and unpickles
-    straight from a ``memoryview`` of the mapping — the payload bytes
-    never travel through the pool's pipe and are never copied into an
-    intermediate ``bytes``. The arena is created *before* the pool
-    forks, so workers inherit the mapping (and the shared cursor) with
-    no attach/name plumbing; the parent unlinks it when the sweep
-    finishes, succeeds or not.
-    """
-
-    def __init__(self, size: int, ctx) -> None:
-        from multiprocessing import shared_memory
-
-        self.shm = shared_memory.SharedMemory(create=True, size=size)
-        self.size = size
-        # Fork-inherited bump cursor; the lock serialises reservations
-        # across workers, writes to disjoint spans need no lock.
-        self._cursor = ctx.Value("Q", 0)
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def write(self, payload: bytes) -> Optional[Tuple[str, int, int, str]]:
-        """Store ``payload``; returns its envelope, or None when full."""
-        length = len(payload)
-        with self._cursor.get_lock():
-            offset = self._cursor.value
-            if offset + length > self.size:
-                return None
-            self._cursor.value = offset + length
-        self.shm.buf[offset : offset + length] = payload
-        digest = hashlib.sha256(payload).hexdigest()
-        return ("shm", offset, length, digest)
-
-    def read(self, offset: int, length: int, digest: str) -> Any:
-        """Verify and unpickle one envelope's payload, zero-copy."""
-        if offset < 0 or length < 0 or offset + length > self.size:
-            raise _ShmCorrupt(
-                f"envelope out of bounds: {offset}+{length}/{self.size}"
-            )
-        view = self.shm.buf[offset : offset + length]
-        try:
-            if hashlib.sha256(view).hexdigest() != digest:
-                raise _ShmCorrupt("envelope checksum mismatch")
-            try:
-                return pickle.loads(view)
-            except Exception as exc:
-                raise _ShmCorrupt(f"envelope unpickle failed: {exc!r}")
-        finally:
-            # A live memoryview would keep the mapping pinned past
-            # close(); pickle.loads copied what it needed.
-            view.release()
-
-    def destroy(self) -> None:
-        """Unmap and unlink the segment (parent, end of sweep)."""
-        try:
-            self.shm.close()
-        except OSError:  # pragma: no cover - already unmapped
-            pass
-        try:
-            self.shm.unlink()
-        except OSError:  # pragma: no cover - already unlinked
-            pass
-
-
-#: The arena workers inherit through fork. Set by the parent around the
-#: pool's lifetime; ``None`` disables the fast path (workers then ship
-#: payloads through the pipe exactly as before).
-_WORKER_ARENA: Optional[_ShmArena] = None
-
-
-def _ship(payload: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Route a worker's ``ok`` payload via the arena when possible.
-
-    Failure markers stay inline (they are tiny and must survive even a
-    broken arena); ``ok`` payloads go through shared memory unless the
-    arena is absent or full, in which case they fall back to the pipe.
-    """
-    if _WORKER_ARENA is None or payload[0] != "ok":
-        return payload
-    try:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        envelope = _WORKER_ARENA.write(blob)
-    except Exception:  # pragma: no cover - arena gone mid-run
-        return payload
-    return payload if envelope is None else envelope
-
-
-# --------------------------------------------------------------------------
 # Fault-aware cell evaluation (shared by workers and the serial path)
 # --------------------------------------------------------------------------
 
@@ -694,8 +586,8 @@ def _worker(
     except Exception:
         return index, attempt, ("error", traceback.format_exc())
     events = obs.take_events() if obs_enabled else None
-    return index, attempt, _ship(
-        ("ok", value, was_cached, duration, quarantined, events)
+    return index, attempt, (
+        "ok", value, was_cached, duration, quarantined, events
     )
 
 
@@ -792,7 +684,7 @@ class CellStats:
         self.degraded_cells += other.degraded_cells
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly view (used by ``BENCH_sweeps.json``)."""
+        """JSON-friendly view (used by ``repro bench`` reports)."""
         return {
             "cells": self.cells,
             "computed": self.computed,
@@ -809,8 +701,8 @@ class CellStats:
 
 
 #: When set (see :func:`collecting_stats`), every ``SweepRunner.map``
-#: in this process also accumulates into this collector — how
-#: ``repro bench`` observes sweeps run deep inside figure modules.
+#: in this process also accumulates into this collector — how a
+#: caller observes sweeps run deep inside figure modules.
 _ACTIVE_COLLECTOR: Optional[CellStats] = None
 
 
@@ -863,12 +755,6 @@ class SweepRunner:
     tests and ``repro bench --suite faults``; leave ``None`` for
     production runs. ``abort_after`` simulates a mid-sweep kill after
     that many completions (testing hook for checkpoint/resume).
-
-    ``arena_bytes`` sizes the per-sweep shared-memory result arena
-    (``0`` disables it — workers then pickle results through the pool
-    pipe; default :data:`SHM_ARENA_BYTES`, overridable via the
-    ``REPRO_SHM_ARENA_BYTES`` env var). The transport is invisible to
-    callers: results are bit-identical either way.
     """
 
     def __init__(
@@ -879,26 +765,17 @@ class SweepRunner:
         checkpoint: Optional[SweepCheckpoint] = None,
         fault_plan: Optional[FaultPlan] = None,
         abort_after: Optional[int] = None,
-        arena_bytes: Optional[int] = None,
     ):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache if cache is not None else ResultCache()
         self.policy = policy if policy is not None else RetryPolicy.from_env()
-        settings = Settings.from_env()
         if checkpoint is None:
-            env = settings.checkpoint
+            env = Settings.from_env().checkpoint
             if env:
                 checkpoint = SweepCheckpoint(env)
         self.checkpoint = checkpoint
         self.fault_plan = fault_plan
         self.abort_after = abort_after
-        if arena_bytes is None:
-            arena_bytes = settings.shm_arena_bytes
-        self.arena_bytes = (
-            SHM_ARENA_BYTES if arena_bytes is None else arena_bytes
-        )
-        #: Name of the most recent sweep's shm segment (for leak tests).
-        self.last_arena_name: Optional[str] = None
         self.stats = CellStats()
         #: Structured degraded-mode events observed by this runner.
         self.events: List[Dict[str, Any]] = []
@@ -1135,19 +1012,6 @@ class SweepRunner:
 
         pool = None
         obs_on = obs.is_enabled()
-        # The arena must exist before the pool forks so workers inherit
-        # the mapping; a failed creation (tiny /dev/shm, exotic
-        # platform) silently degrades to the pipe transport.
-        global _WORKER_ARENA
-        arena: Optional[_ShmArena] = None
-        if self.arena_bytes > 0 and ctx.get_start_method() == "fork":
-            try:
-                arena = _ShmArena(self.arena_bytes, ctx)
-            except Exception:  # pragma: no cover - no shm support
-                arena = None
-        if arena is not None:
-            self.last_arena_name = arena.name
-        _WORKER_ARENA = arena
         try:
             pool = self._spawn_pool(ctx, processes)
             while queue or inflight or backoff_heap:
@@ -1240,20 +1104,6 @@ class SweepRunner:
                     except Exception as exc:  # unpicklable return etc.
                         payload = ("crash", repr(exc))
                     now = time.monotonic()
-                    if payload[0] == "shm":
-                        # Envelope → zero-copy read from the arena. A
-                        # corrupt envelope is indistinguishable from a
-                        # worker crash: same retry machinery.
-                        try:
-                            if arena is None:
-                                raise _ShmCorrupt(
-                                    "shm envelope with no arena"
-                                )
-                            payload = arena.read(
-                                payload[1], payload[2], payload[3]
-                            )
-                        except _ShmCorrupt as exc:
-                            payload = ("crash", f"shm transport: {exc}")
                     tag = payload[0]
                     if tag == "ok":
                         (_tag, value, was_cached, duration, quar,
@@ -1269,8 +1119,3 @@ class SweepRunner:
             if pool is not None:
                 pool.terminate()
                 pool.join()
-            _WORKER_ARENA = None
-            if arena is not None:
-                # Unlink unconditionally — crash, abort, or success —
-                # so no /dev/shm segment outlives the sweep.
-                arena.destroy()

@@ -1,29 +1,22 @@
-"""``repro bench``: CLI wiring and the BENCH_sweeps.json contract."""
+"""``repro bench``: the suite table, its report envelope and its gates."""
 
+import dataclasses
+import itertools
 import json
 
 import pytest
 
+from repro.bench import SUITES
 from repro.cli import main
 
-
-def _run_bench(out, extra=()):
-    argv = [
-        "bench", "--figures", "fig18", "--mixes", "1", "--epochs", "2",
-        "--jobs", "1", "--output", str(out), *extra,
-    ]
-    assert main(argv) == 0
-    return json.loads(out.read_text())
-
-
-REQUIRED_FIGURE_KEYS = {
-    "cells",
-    "computed",
-    "cache_hits",
-    "cache_hit_rate",
-    "wall_seconds",
-    "serial_seconds_estimate",
-    "speedup_vs_serial",
+#: Each suite at its ``make check`` smoke scale.
+SMOKE_ARGS = {
+    "tracesim": ("--accesses", "1000", "--seeds", "2"),
+    "model": ("--mixes", "1", "--epochs", "4"),
+    "faults": ("--mixes", "1", "--epochs", "2"),
+    "obs": ("--epochs", "4"),
+    "fleet": ("--chips", "8", "--epochs", "6"),
+    "serve": ("--tenants", "4", "--requests", "5"),
 }
 
 
@@ -33,49 +26,133 @@ def bench_env(tmp_path, monkeypatch):
     return tmp_path
 
 
-def test_bench_report_schema_and_cache_behaviour(bench_env, capsys):
-    out = bench_env / "BENCH_sweeps.json"
-    cold = _run_bench(out)
-
-    assert cold["jobs"] == 1
-    assert cold["cold"] is False
-    assert cold["cache_dir"] == str(bench_env / "cache")
-    assert len(cold["code_fingerprint"]) == 64
-    fig = cold["figures"]["fig18"]
-    assert REQUIRED_FIGURE_KEYS <= set(fig)
-    assert fig["cells"] == fig["computed"] > 0
-    assert fig["cache_hits"] == 0
-    assert fig["wall_seconds"] > 0
-    total = cold["total"]
-    assert total["cells"] == fig["cells"]
-    assert 0.0 <= total["cache_hit_rate"] <= 1.0
-
-    # Warm rerun: every cell served from the cache, none recomputed.
-    warm = _run_bench(out)
-    wfig = warm["figures"]["fig18"]
-    assert wfig["cells"] == fig["cells"]
-    assert wfig["computed"] == 0
-    assert wfig["cache_hit_rate"] == 1.0
-    # The warm serial estimate still reflects the recorded compute cost.
-    assert wfig["serial_seconds_estimate"] > 0
-
-    # --cold clears the cache first, forcing a full recompute.
-    forced = _run_bench(out, extra=("--cold",))
-    assert forced["cold"] is True
-    ffig = forced["figures"]["fig18"]
-    assert ffig["computed"] == fig["cells"]
-    assert ffig["cache_hits"] == 0
-
-    summary = capsys.readouterr().out
-    assert "fig18:" in summary
-    assert str(out) in summary
+def _run_suite(suite, out, extra=()):
+    rc = main(
+        ["bench", "--suite", suite, *SMOKE_ARGS[suite],
+         "--output", str(out), *extra]
+    )
+    return rc, json.loads(out.read_text())
 
 
-def test_bench_rejects_unknown_figure(bench_env):
-    from repro.bench import run_bench
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_suite_passes_at_smoke_scale(suite, bench_env, capsys):
+    out = bench_env / f"BENCH_{suite}.json"
+    rc, report = _run_suite(suite, out)
+    assert rc == 0
+    assert report["suite"] == suite
+    assert len(report["code_fingerprint"]) == 64
+    assert report["version"]
+    assert report["ok"] is True
+    text = capsys.readouterr().out
+    for key in SUITES[suite].headline:
+        assert f"  {key}: " in text
+    assert f"wrote {out}" in text
 
-    with pytest.raises(ValueError, match="unknown figures"):
-        run_bench(figures=["fig99"])
+
+def _perturbed_stats(real):
+    def stats(self):
+        result = dict(real(self))
+        first = min(result)
+        result[first] = dataclasses.replace(
+            result[first], accesses=result[first].accesses + 1
+        )
+        return result
+
+    return stats
+
+
+def _break_tracesim(monkeypatch):
+    from repro.sim.tracesim import TraceSimulator
+
+    monkeypatch.setattr(
+        TraceSimulator, "stats", _perturbed_stats(TraceSimulator.stats)
+    )
+
+
+def _break_model(monkeypatch):
+    import repro.bench
+
+    monkeypatch.setattr(
+        repro.bench, "_canonical_run_result", lambda result: object()
+    )
+
+
+def _break_faults(monkeypatch):
+    import repro.chaos
+
+    real = repro.chaos.differential_sweep
+
+    def differential_sweep(*args, **kwargs):
+        return (False, *real(*args, **kwargs)[1:])
+
+    monkeypatch.setattr(repro.chaos, "differential_sweep", differential_sweep)
+
+
+def _break_obs(monkeypatch):
+    import repro.bench
+
+    monkeypatch.setattr(repro.bench, "OBS_OVERHEAD_GATE", -1.0)
+
+
+def _break_fleet(monkeypatch):
+    from repro.fleet.cluster import FleetResult
+
+    calls = itertools.count()
+    monkeypatch.setattr(
+        FleetResult, "to_json", lambda self: str(next(calls))
+    )
+
+
+def _break_serve(monkeypatch):
+    import repro.serve.loadgen
+
+    real = repro.serve.loadgen.run_loadgen
+    calls = itertools.count()
+
+    def run_loadgen(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.fingerprints[-1] = [str(next(calls))]
+        return report
+
+    monkeypatch.setattr(repro.serve.loadgen, "run_loadgen", run_loadgen)
+
+
+#: One forced gate failure per suite.
+BREAKERS = {
+    "tracesim": (_break_tracesim, "stats_identical"),
+    "model": (_break_model, "stats_identical"),
+    "faults": (_break_faults, "differential.cold_identical"),
+    "obs": (_break_obs, "overhead.ok"),
+    "fleet": (_break_fleet, "determinism.identical_results"),
+    "serve": (_break_serve, "determinism.identical_decisions"),
+}
+
+
+def test_every_suite_has_smoke_args_and_a_breaker():
+    assert set(SMOKE_ARGS) == set(BREAKERS) == set(SUITES)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_failed_gate_fails_the_suite(suite, bench_env, monkeypatch, capsys):
+    breaker, gate = BREAKERS[suite]
+    breaker(monkeypatch)
+    out = bench_env / f"BENCH_{suite}.json"
+    rc, report = _run_suite(suite, out, extra=("--jobs", "1"))
+    assert rc == 1
+    assert report["ok"] is False
+    value = report
+    for key in gate.split("."):
+        value = value[key]
+    assert value is False
+    assert f"{suite.upper()} SUITE FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["bench"], ["bench", "--suite", "sweeps"]])
+def test_bench_needs_a_known_suite(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--suite" in capsys.readouterr().err
 
 
 def test_figure_command_accepts_jobs(bench_env, capsys, monkeypatch):
@@ -89,8 +166,6 @@ TRACESIM_REQUIRED_KEYS = {
     "suite",
     "code_fingerprint",
     "jobs",
-    "cold",
-    "cache_dir",
     "workload",
     "scalar_reference",
     "fast_path",
@@ -112,30 +187,28 @@ def _run_tracesim_bench(out, extra=()):
 
 def test_tracesim_bench_schema_and_cache_behaviour(bench_env, capsys):
     out = bench_env / "BENCH_tracesim.json"
-    cold = _run_tracesim_bench(out)
+    first = _run_tracesim_bench(out)
 
-    assert TRACESIM_REQUIRED_KEYS <= set(cold)
-    assert cold["suite"] == "tracesim"
-    assert cold["stats_identical"] is True
-    assert cold["speedup_vs_scalar"] > 0
-    assert cold["workload"]["accesses_per_core"] == 200
-    assert cold["scalar_reference"]["accesses_per_sec"] > 0
-    assert cold["fast_path"]["accesses_per_sec"] > 0
-    shards = cold["sharded_runs"]
-    assert shards["seeds"] == 2
-    assert shards["cells"] == 2
-    assert shards["computed"] == 2
-    assert shards["cache_hits"] == 0
-    assert cold["profile"] is None
+    assert TRACESIM_REQUIRED_KEYS <= set(first)
+    assert first["suite"] == "tracesim"
+    assert first["stats_identical"] is True
+    assert first["speedup_vs_scalar"] > 0
+    assert first["workload"]["accesses_per_core"] == 200
+    assert first["scalar_reference"]["accesses_per_sec"] > 0
+    assert first["fast_path"]["accesses_per_sec"] > 0
+    assert first["sharded_runs"]["seeds"] == 2
+    assert first["sharded_runs"]["cells"] == 2
+    assert first["profile"] is None
 
-    # Warm rerun: the sharded seed runs come from the cache.
-    warm = _run_tracesim_bench(out)
-    wshards = warm["sharded_runs"]
-    assert wshards["computed"] == 0
-    assert wshards["cache_hits"] == 2
+    # A back-to-back rerun computes every sharded cell again: the
+    # headline never times a warm cache.
+    second = _run_tracesim_bench(out)
+    for report in (first, second):
+        assert report["sharded_runs"]["computed"] == 2
+        assert report["sharded_runs"]["cache_hits"] == 0
 
     summary = capsys.readouterr().out
-    assert "speedup" in summary
+    assert "speedup_vs_scalar" in summary
     assert str(out) in summary
 
 

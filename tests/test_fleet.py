@@ -364,7 +364,7 @@ class TestFleetBench:
         )
         assert rc == 0
         text = capsys.readouterr().out
-        assert "deterministic results: True" in text
+        assert "determinism.identical_results: True" in text
         report = json.loads(out.read_text())
         assert report["suite"] == "fleet"
         assert report["ok"] is True

@@ -300,7 +300,8 @@ def _nan_safe(value):
 @st.composite
 def _ragged_workload(draw):
     """A 20-core chip with 1-4 VMs, each with its own LC and batch app
-    counts, so mixes in one batch stack differently sized row sets."""
+    counts (one core per app, within the chip), so mixes in one batch
+    stack differently sized row sets."""
     from repro.config import SystemConfig, VmSpec
     from repro.model.workload import WorkloadSpec
     from repro.workloads.spec import profile_names
@@ -308,8 +309,8 @@ def _ragged_workload(draw):
 
     vms, core = [], 0
     for vm_id in range(draw(st.integers(1, 4))):
-        n_lc = draw(st.integers(0, 2))
-        n_batch = draw(st.integers(1, 4))
+        n_lc = draw(st.integers(0, min(2, 19 - core)))
+        n_batch = draw(st.integers(1, min(4, 20 - core - n_lc)))
         lc = tuple(
             f"{draw(st.sampled_from(lc_profile_names()))}#{vm_id}.{k}"
             for k in range(n_lc)

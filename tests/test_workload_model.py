@@ -65,6 +65,17 @@ class TestWorkloadSpec:
         with pytest.raises(KeyError):
             spec.vm_of("ghost")
 
+    def test_app_off_the_chip_rejected(self):
+        vms = [
+            VmSpec(
+                vm, tuple(range(12 * vm, 12 * vm + 12)), (),
+                tuple(f"403.gcc#{vm}.{k}" for k in range(12)),
+            )
+            for vm in range(2)
+        ]
+        with pytest.raises(ValueError, match="core 20"):
+            WorkloadSpec(config=SystemConfig(), vms=vms)
+
     def test_qps_of_load(self):
         high = make_default_workload(["xapian"], 0, load="high")
         low = make_default_workload(["xapian"], 0, load="low")
