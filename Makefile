@@ -2,9 +2,9 @@
 
 PYTHON ?= python
 
-.PHONY: install test check check-faults check-resilience bench \
+.PHONY: install test check check-faults check-resilience \
 	bench-tracesim bench-model bench-obs bench-fleet bench-serve \
-	bench-full examples figures clean
+	examples figures clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -12,8 +12,11 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Tier-1 gate: the full test suite plus every `repro bench` suite at
-# smoke scale (bench-tracesim ... bench-serve, check-faults).
+# Full gate: the test suite (which checks the paper's claims at smoke
+# scale), every `repro bench` suite at smoke scale (bench-tracesim ...
+# bench-serve, check-faults), then the paper-scale reproduction: it
+# fails on any failed claim or any byte of results/ that differs from
+# the committed files.
 check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
 	$(MAKE) bench-tracesim
@@ -23,6 +26,8 @@ check:
 	$(MAKE) bench-serve
 	$(MAKE) check-faults
 	$(MAKE) check-resilience
+	$(MAKE) figures
+	git diff --exit-code -- results/
 
 # Chaos smoke (seconds, fixed seed): the fault-injection bench suite —
 # differential clean-vs-chaos sweeps on throwaway caches plus the
@@ -40,9 +45,6 @@ check-faults:
 # subprocess.
 check-resilience:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q -m resilience
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Tiny trace-simulator benchmark (seconds): times the array-backed
 # fast path against the frozen scalar reference on identical replayed
@@ -95,24 +97,20 @@ bench-serve:
 	PYTHONPATH=src $(PYTHON) -m repro bench --suite serve \
 	  --tenants 4 --requests 5 --output BENCH_serve_smoke.json
 
-# Paper-scale sweep (40 mixes, 25 epochs) — takes a while.
-bench-full:
-	REPRO_MIXES=40 REPRO_EPOCHS=25 \
-	  $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/security_audit.py
 	$(PYTHON) examples/multi_tenant_consolidation.py
 	$(PYTHON) examples/closed_loop_trace_sim.py
 
+# Every artifact at paper scale (40 mixes x 25 epochs; about two
+# minutes cold on 2 CPUs) into results/ plus SUMMARY.md; exits non-zero
+# if any of the paper's claims fails.
 figures:
-	$(PYTHON) examples/reproduce_paper.py
+	PYTHONPATH=src $(PYTHON) -m repro reproduce --scale paper --out results
 
+# Untracked build and test leftovers only: results/ and the BENCH_*.json
+# reports are committed output.
 clean:
-	rm -rf results/ .pytest_cache .benchmarks
-	rm -f BENCH_tracesim_smoke.json \
-	  BENCH_model_smoke.json BENCH_faults_smoke.json \
-	  BENCH_obs_smoke.json BENCH_fleet_smoke.json \
-	  BENCH_serve_smoke.json
+	rm -rf .pytest_cache .hypothesis BENCH_serve_smoke.json BENCH_*.prof
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,124 +1,21 @@
 #!/usr/bin/env python
 """Regenerate every figure and table of the paper's evaluation.
 
-Runs the full experiment suite (Figs. 4, 5, 8, 9, 11-18 and Tables
-I-III) and prints each artifact as a text table. Scale is controlled by
-environment variables:
+The same as ``repro reproduce`` (all flags pass through): one report per
+artifact plus ``SUMMARY.md`` with the paper's claims checked; exit 1 if
+any claim fails. Run with::
 
-* ``REPRO_MIXES``  — batch mixes per workload (paper: 40; default 6)
-* ``REPRO_EPOCHS`` — 100 ms epochs per run (default 20)
-* ``REPRO_SEED``   — base RNG seed for the sweep figures (default 0)
-* ``REPRO_JOBS``   — parallel workers for the sweep figures
-
-``--seed`` and ``--jobs`` override the corresponding variables. Two runs
-with the same seed (and scale) produce byte-identical output; changing
-the seed reruns every sweep on independent randomness.
-
-Run with::
-
-    REPRO_MIXES=6 python examples/reproduce_paper.py --seed 0
+    python examples/reproduce_paper.py --scale smoke --out /tmp/results
 """
 
-import argparse
-import time
+import sys
 
-from repro.config import Settings
-from repro.experiments import (
-    fig4,
-    fig5,
-    fig8,
-    fig9,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
-    fig18,
-    tables,
-)
+from repro import cli
 
 
-def _banner(title: str) -> None:
-    print()
-    print("=" * 68)
-    print(title)
-    print("=" * 68)
-
-
-def _parse_args() -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=Settings.from_env().seed,
-        help="base RNG seed for the sweep figures "
-             "(default: REPRO_SEED or 0)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel workers for the sweep figures "
-             "(default: REPRO_JOBS or cpu count)",
-    )
-    return parser.parse_args()
-
-
-def main() -> None:
-    args = _parse_args()
-    seed, jobs = args.seed, args.jobs
-    start = time.time()
-
-    _banner("Table II / Table III — configuration")
-    print(tables.format_table2())
-    print()
-    print(tables.format_table3())
-
-    _banner("Fig. 4 — case study over time")
-    print(fig4.format_table(fig4.run()))
-
-    _banner("Fig. 5 — case study end-to-end")
-    print(fig5.format_table(fig5.run()))
-
-    _banner("Fig. 8 — tail latency vs. allocation")
-    print(fig8.format_table(fig8.run()))
-
-    _banner("Fig. 9 — controller sensitivity")
-    print(fig9.format_table(fig9.run()))
-
-    _banner("Fig. 11 — LLC port attack")
-    print(fig11.format_table(fig11.run()))
-
-    _banner("Fig. 12 — performance leakage")
-    print(fig12.format_table(fig12.run()))
-
-    _banner("Fig. 13 — main results (this is the big sweep)")
-    r13 = fig13.run(jobs=jobs, base_seed=seed)
-    print(fig13.format_table(r13))
-
-    _banner("Fig. 14 — vulnerability (from the Fig. 13 sweep)")
-    print(fig14.format_table(fig14.from_sweep(r13.sweep)))
-
-    _banner("Fig. 15 — data-movement energy (from the Fig. 13 sweep)")
-    print(fig15.format_table(fig15.from_sweep(r13.sweep)))
-
-    _banner("Fig. 16 — Jumanji vs Insecure vs Ideal Batch")
-    print(fig16.format_table(fig16.run(jobs=jobs, base_seed=seed)))
-
-    _banner("Fig. 17 — VM scaling")
-    print(fig17.format_table(fig17.run(jobs=jobs, base_seed=seed)))
-
-    _banner("Fig. 18 — NoC sensitivity")
-    print(fig18.format_table(fig18.run(jobs=jobs, base_seed=seed)))
-
-    _banner("Table I — design comparison (from the Fig. 13 sweep)")
-    print(tables.format_table1(tables.run_table1(sweep=r13.sweep)))
-
-    print()
-    print(f"Total: {time.time() - start:.0f} s")
+def main(argv=None) -> int:
+    return cli.main(["reproduce", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,7 +17,7 @@ Run with::
     python examples/security_audit.py
 """
 
-from repro.experiments import fig11, fig12, fig14
+from repro.experiments import fig11, fig12, fig13, fig14
 
 
 def main() -> None:
@@ -48,7 +48,10 @@ def main() -> None:
     print("=" * 64)
     print("3. Attack surface by LLC design (attackers per access)")
     print("=" * 64)
-    vuln = fig14.run(mixes=2, epochs=10)
+    # Fig. 14 averages the vulnerability over the Fig. 13 sweep's runs.
+    sweep = fig13.run(lc_workloads=("xapian", "Mixed"), loads=("high",),
+                      mixes=2, epochs=10).sweep
+    vuln = fig14.from_sweep(sweep)
     print(fig14.format_table(vuln))
     print(
         "-> way-partitioned S-NUCA exposes every access to every "

@@ -332,7 +332,7 @@ MODEL_SMOKE_FLOOR = 0.5
 
 def run_model_bench(
     mixes: int = 2,
-    epochs: Optional[int] = None,
+    epochs: int = 20,
     designs: Optional[List[str]] = None,
     lc_workload: str = "xapian",
     load: str = "high",
@@ -351,11 +351,7 @@ def run_model_bench(
     :data:`MODEL_FLOOR_MIXES`.
     """
     from .core.designs import make_design
-    from .experiments.common import (
-        DEFAULT_DESIGNS,
-        num_epochs,
-        run_seed,
-    )
+    from .experiments.common import DEFAULT_DESIGNS, run_seed
     from .model.batch import BatchSystemModel
     from .model.system import (
         SystemModel,
@@ -367,7 +363,6 @@ def run_model_bench(
 
     if mixes < 1:
         raise ValueError("need at least one batch mix")
-    epochs = epochs if epochs is not None else num_epochs()
     designs = list(designs) if designs else list(DEFAULT_DESIGNS)
     at_scale = mixes >= MODEL_FLOOR_MIXES
 
@@ -517,15 +512,19 @@ def run_faults_bench(
     Runs entirely on throwaway cache directories (the user's result
     cache is never touched), so every invocation exercises the cold
     compute path, the retry/crash-recovery machinery, and — on the
-    second faulty pass — the corrupt-entry quarantine path. Sets
-    ``report["ok"]`` only if the faulty sweeps are bit-identical to the
-    clean one *and* the drill never violated bank isolation.
+    second faulty pass, over a cache with one entry corrupted on
+    purpose — the corrupt-entry quarantine path. Sets ``report["ok"]``
+    only if the faulty sweeps are bit-identical to the clean one, the
+    second pass quarantined at least one entry, *and* the drill never
+    violated bank isolation.
     """
     import shutil
 
+    from . import runner as runner_module
     from .chaos import degraded_runtime_cell, differential_sweep
+    from .experiments.common import workload_cell
     from .faults import FaultPlan
-    from .runner import RetryPolicy, SweepRunner, compute_cell
+    from .runner import RetryPolicy, SweepRunner, cell_key, compute_cell
 
     jobs_resolved = resolve_jobs(jobs)
     sweep_kwargs = dict(
@@ -559,8 +558,13 @@ def run_faults_bench(
             clean_runner, faulty_runner, **sweep_kwargs
         )
         cold_wall = time.perf_counter() - start
-        # Second pass over the possibly-corrupted cache: quarantine and
-        # recompute instead of failing, still bit-identical.
+        # Second pass over a corrupted cache: quarantine and recompute,
+        # still bit-identical. One entry is rewritten clean and then
+        # corrupted (corrupting a plan-corrupted entry would undo it).
+        key = cell_key(workload_cell("Jumanji", "xapian", "high", 0, epochs))
+        planted = ResultCache(faulty_dir)
+        planted.put(key, ResultCache(clean_dir).get(key)["value"], 0.0)
+        runner_module._corrupt_entry(planted, key)
         warm_runner = SweepRunner(
             jobs=jobs_resolved,
             cache=ResultCache(faulty_dir),
@@ -589,7 +593,9 @@ def run_faults_bench(
         )
     )
 
-    ok = bool(cold_identical and warm_identical and drill["isolation_ok"])
+    warm_quarantine_ok = warm_runner.stats.quarantined >= 1
+    ok = bool(cold_identical and warm_identical and warm_quarantine_ok
+              and drill["isolation_ok"])
     return {
         "jobs": jobs_resolved,
         "fault_seed": fault_seed,
@@ -603,6 +609,7 @@ def run_faults_bench(
             "warm_identical": warm_identical,
             "warm_wall_seconds": warm_wall,
             "warm_stats": warm_runner.stats.as_dict(),
+            "warm_quarantine_ok": warm_quarantine_ok,
         },
         "drill": {
             "epochs": drill["epochs"],
@@ -637,7 +644,7 @@ OBS_OVERHEAD_GATE = 0.02
 
 
 def run_obs_bench(
-    epochs: Optional[int] = None,
+    epochs: int = 20,
     repeats: int = 51,
     lc_workload: str = "xapian",
     load: str = "high",
@@ -661,14 +668,13 @@ def run_obs_bench(
     """
     from . import obs
     from .core.designs import make_design
-    from .experiments.common import num_epochs, run_seed
+    from .experiments.common import run_seed
     from .model.system import SystemModel, compute_deadline_cycles
     from .model.workload import make_default_workload
     from .workloads.mixes import base_app
 
     if repeats < 2:
         raise ValueError("need at least two timing pairs")
-    epochs = epochs if epochs is not None else num_epochs()
     seed = run_seed(0, 0)
 
     def one_run():
@@ -774,8 +780,8 @@ def run_obs_bench(
 
 
 def run_fleet_bench(
-    chips: Optional[int] = None,
-    epochs: Optional[int] = None,
+    chips: int = 32,
+    epochs: int = 10,
     seed: int = 0,
 ) -> Dict[str, Any]:
     """Gate the rack-scale fleet layer: determinism + invariants.
@@ -801,11 +807,6 @@ def run_fleet_bench(
     from .faults import FaultPlan
     from .fleet import Fleet, FleetJournal, Scenario, run_fleet
 
-    settings = Settings.from_env()
-    if chips is None:
-        chips = settings.fleet_chips or 32
-    if epochs is None:
-        epochs = settings.fleet_epochs or 10
     scenario = Scenario(
         chips=chips,
         epochs=epochs,
@@ -1169,7 +1170,7 @@ SUITES: Dict[str, Suite] = {
             "differential.cells", "differential.cold_stats.retries",
             "differential.warm_stats.quarantined",
             "differential.cold_identical", "differential.warm_identical",
-            "drill.isolation_ok",
+            "differential.warm_quarantine_ok", "drill.isolation_ok",
         ),
     ),
     "obs": Suite(
@@ -1241,8 +1242,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                         help="faults/fleet/serve: scenario and FaultPlan "
                         "seed (default 0)")
     parser.add_argument("--chips", type=int,
-                        help="fleet: sockets in the fleet "
-                        "(default REPRO_FLEET_CHIPS or 32)")
+                        help="fleet: sockets in the fleet (default 32)")
     parser.add_argument("--tenants", type=int,
                         help="serve: concurrent tenant sessions "
                         "(default 40)")

@@ -4,7 +4,10 @@ Commands:
 
 * ``designs``              — list the available LLC designs
 * ``run``                  — run one design on one workload, print metrics
-* ``figure <name>``        — regenerate one of the paper's figures/tables
+* ``reproduce``            — regenerate every artifact of the paper's
+  evaluation into ``results/`` plus ``SUMMARY.md``, checking the
+  paper's claims (exit 1 if any fails)
+* ``figure <name>``        — regenerate and print one artifact
 * ``fleet run``            — rack-scale fleet simulation over many chips
 * ``bench --suite <name>`` — gated benchmark suites
   (:data:`repro.bench.SUITES`): ``tracesim``, ``model``, ``faults``,
@@ -13,14 +16,14 @@ Commands:
   (:mod:`repro.serve`); ``serve loadgen`` drives it with N synthetic
   tenants and prints throughput/latency
 * ``deadline <app>``       — print an LC app's computed deadline
-* ``report``               — assemble results/ into a single SUMMARY.md
 * ``obs summarize <trace>`` — summarize a captured observability trace
 
-``run`` and ``figure`` accept ``--trace-out`` / ``--metrics-out``
-(defaults: the ``REPRO_TRACE`` / ``REPRO_METRICS`` env knobs) to record
-the run through :mod:`repro.obs`: a span/event trace (``.jsonl`` lines,
-or Chrome trace-event JSON when the path ends in ``.json`` — loadable
-in Perfetto) and a plain-text metrics snapshot.
+``run``, ``reproduce``, ``figure`` and ``fleet run`` accept
+``--trace-out`` / ``--metrics-out`` (defaults: the ``REPRO_TRACE`` /
+``REPRO_METRICS`` env knobs) to record the run through
+:mod:`repro.obs`: a span/event trace (``.jsonl`` lines, or Chrome
+trace-event JSON when the path ends in ``.json`` — loadable in
+Perfetto) and a plain-text metrics snapshot.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .config import CORE_FREQ_HZ
+from .config import CORE_FREQ_HZ, Settings
 from .core.designs import DESIGNS
+from .experiments.common import SCALES
+from .experiments.report import ARTIFACTS
 from .metrics.speedup import weighted_speedup
 from .model.api import run_model
 from .model.system import compute_deadline_cycles
@@ -39,12 +44,6 @@ from .model.workload import make_default_workload
 from .workloads.tailbench import lc_profile_names
 
 __all__ = ["main", "build_parser"]
-
-_FIGURES = (
-    "fig2", "fig4", "fig5", "fig8", "fig9", "fig11", "fig12",
-    "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-    "table1", "table2", "table3",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,17 +75,30 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     _add_obs_outputs(run)
 
+    rep = sub.add_parser(
+        "reproduce",
+        help="regenerate every artifact and SUMMARY.md; exit 1 if any "
+        "of the paper's claims fails",
+    )
+    _add_scale_arguments(rep)
+    rep.add_argument(
+        "--seed", type=int, default=Settings.from_env().seed,
+        help="base RNG seed of the sweep figures "
+        "(default: REPRO_SEED or 0)",
+    )
+    rep.add_argument(
+        "--out", default="results",
+        help="directory for the artifacts and SUMMARY.md "
+        "(default results/)",
+    )
+    _add_obs_outputs(rep)
+
     fig = sub.add_parser(
-        "figure", help="regenerate one of the paper's figures/tables"
+        "figure",
+        help="regenerate and print one artifact with its claims",
     )
-    fig.add_argument("name", choices=_FIGURES)
-    fig.add_argument("--mixes", type=int, default=None)
-    fig.add_argument("--epochs", type=int, default=None)
-    fig.add_argument(
-        "--jobs", type=int, default=None,
-        help="parallel workers for sweep figures "
-             "(default: REPRO_JOBS or cpu count)",
-    )
+    fig.add_argument("name", choices=[a.stem for a in ARTIFACTS])
+    _add_scale_arguments(fig)
     _add_obs_outputs(fig)
 
     fleet = sub.add_parser(
@@ -99,12 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one seeded fleet scenario and print canonical stats",
     )
     frun.add_argument(
-        "--chips", type=int, default=None,
-        help="sockets in the fleet (default: REPRO_FLEET_CHIPS or 64)",
+        "--chips", type=int, default=64,
+        help="sockets in the fleet (default 64)",
     )
     frun.add_argument(
-        "--epochs", type=int, default=None,
-        help="100 ms fleet epochs (default: REPRO_FLEET_EPOCHS or 12)",
+        "--epochs", type=int, default=12,
+        help="100 ms fleet epochs (default 12)",
     )
     frun.add_argument("--seed", type=int, default=0)
     frun.add_argument(
@@ -232,15 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dl.add_argument("app", choices=lc_profile_names())
 
-    rep = sub.add_parser(
-        "report",
-        help="assemble results/ into a single SUMMARY.md",
-    )
-    rep.add_argument(
-        "--results", default="results",
-        help="directory holding per-figure reports (default results/)",
-    )
-
     obs_cmd = sub.add_parser(
         "obs", help="inspect observability traces (repro.obs)"
     )
@@ -260,6 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
+
+
+def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the shared reproduction flags to a subparser."""
+    parser.add_argument(
+        "--scale", choices=list(SCALES), default="paper",
+        help="sweep size: "
+        + ", ".join(str(s) for s in SCALES.values())
+        + " (default paper)",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help="parallel workers for the sweep figures "
+        "(default: REPRO_JOBS or cpu count)",
+    )
 
 
 def _add_obs_outputs(parser: argparse.ArgumentParser) -> None:
@@ -321,66 +339,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    from . import experiments as E
-
-    name = args.name
-    kwargs = {}
-    if args.mixes is not None:
-        kwargs["mixes"] = args.mixes
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    if args.jobs is not None and name in (
-        "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-        "fig18",
-    ):
-        kwargs["jobs"] = args.jobs
-    if name == "table2":
-        print(E.tables.format_table2())
-        return 0
-    if name == "table3":
-        print(E.tables.format_table3())
-        return 0
-    if name == "table1":
-        print(E.tables.format_table1(E.tables.run_table1(**kwargs)))
-        return 0
-    if name in ("fig2", "fig8", "fig11"):
-        kwargs.pop("mixes", None)
-    if name == "fig2":
-        kwargs.pop("epochs", None)
-    if name == "fig11":
-        kwargs.pop("epochs", None)
-    if name == "fig12":
-        kwargs.pop("epochs", None)
-        if "mixes" in kwargs:
-            kwargs["num_mixes"] = kwargs.pop("mixes")
-    if name in ("fig4", "fig5", "fig9"):
-        kwargs.pop("mixes", None)
-    module = getattr(E, name)
-    result = module.run(**kwargs)
-    print(module.format_table(result))
-    return 0
+def _print_claims(claims) -> int:
+    """Print failed claims and the tally; the exit code they imply."""
+    failed = [c for c in claims if not c.ok]
+    for c in failed:
+        print(f"CLAIM FAILED: {c.name} (value {c.value})")
+    print(f"claims: {len(claims) - len(failed)}/{len(claims)} hold")
+    return 1 if failed else 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    """Assemble the reproduction summary from per-figure reports."""
-    import pathlib
+def _cmd_reproduce(args: argparse.Namespace) -> int:
+    """Regenerate every artifact and SUMMARY.md under ``--out``."""
+    from .experiments import report
 
-    from .experiments.report import collect, write_summary
-
-    results = pathlib.Path(args.results)
-    if not results.is_dir():
-        print(f"no results directory at {results}; run the benchmarks "
-              "first (pytest benchmarks/ --benchmark-only)")
-        return 1
-    status = collect(results)
-    write_summary(results)
-    print(
-        f"wrote {results / 'SUMMARY.md'} "
-        f"({len(status.present)} artifacts, "
-        f"{'complete' if status.complete else 'incomplete'})"
+    claims = report.reproduce(
+        SCALES[args.scale], args.out, seed=args.seed, jobs=args.jobs,
+        log=print,
     )
-    return 0
+    print(f"wrote {len(claims)} artifacts and SUMMARY.md to {args.out}")
+    return _print_claims([c for rows in claims.values() for c in rows])
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    """Regenerate one artifact and print it with its claims."""
+    from .experiments import report
+
+    (text, claims), = report.run_artifacts(
+        [args.name], SCALES[args.scale], jobs=args.jobs
+    ).values()
+    print(text, end="")
+    return _print_claims(claims)
 
 
 def _cmd_deadline(args: argparse.Namespace) -> int:
@@ -405,17 +393,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     """
     import pathlib
 
-    from .config import Settings
     from .faults import FaultPlan
     from .fleet import Scenario, run_fleet
 
-    settings = Settings.from_env()
-    chips = args.chips
-    if chips is None:
-        chips = settings.fleet_chips if settings.fleet_chips else 64
-    epochs = args.epochs
-    if epochs is None:
-        epochs = settings.fleet_epochs if settings.fleet_epochs else 12
     plan = None
     if (
         args.chip_failure > 0.0
@@ -431,8 +411,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             slow_service_factor=args.slow_factor,
         )
     scenario = Scenario(
-        chips=chips,
-        epochs=epochs,
+        chips=args.chips,
+        epochs=args.epochs,
         seed=args.seed,
         initial_tenants=args.initial_tenants,
         arrival_rate=args.arrival_rate,
@@ -442,7 +422,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         pending_limit=args.pending_limit,
         fault_plan=plan,
     )
-    checkpoint = args.checkpoint or settings.fleet_checkpoint
+    checkpoint = args.checkpoint or Settings.from_env().fleet_checkpoint
     result = run_fleet(
         scenario, design=args.design, checkpoint=checkpoint
     )
@@ -523,7 +503,6 @@ def _with_obs_outputs(args: argparse.Namespace, command) -> int:
     stays disabled and the command runs untouched.
     """
     from . import obs
-    from .config import Settings
 
     settings = Settings.from_env()
     trace = args.trace_out or settings.trace
@@ -547,6 +526,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_designs()
     if args.command == "run":
         return _with_obs_outputs(args, _cmd_run)
+    if args.command == "reproduce":
+        return _with_obs_outputs(args, _cmd_reproduce)
     if args.command == "figure":
         return _with_obs_outputs(args, _cmd_figure)
     if args.command == "fleet":
@@ -559,8 +540,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_serve(args)
     if args.command == "deadline":
         return _cmd_deadline(args)
-    if args.command == "report":
-        return _cmd_report(args)
     if args.command == "obs":
         return _cmd_obs(args)
     raise AssertionError(f"unhandled command {args.command!r}")

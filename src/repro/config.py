@@ -291,28 +291,20 @@ class Settings:
     call site's own default applies.
     """
 
-    #: ``REPRO_SEED`` — base RNG seed for sweeps/examples (default 0).
+    #: ``REPRO_SEED`` — default ``repro reproduce --seed`` (default 0).
     seed: int = 0
     #: ``REPRO_JOBS`` — parallel sweep workers.
     jobs: Optional[int] = None
-    #: ``REPRO_MIXES`` — batch mixes per workload (paper scale: 40).
-    mixes: Optional[int] = None
-    #: ``REPRO_EPOCHS`` — 100 ms epochs per run (paper scale: 25).
-    epochs: Optional[int] = None
     #: ``REPRO_CELL_TIMEOUT`` — per-cell wall-clock budget in seconds.
     cell_timeout: Optional[float] = None
     #: ``REPRO_CHECKPOINT`` — sweep checkpoint journal path.
     checkpoint: Optional[str] = None
     #: ``REPRO_CACHE_DIR`` — result-cache directory.
     cache_dir: Optional[str] = None
-    #: ``REPRO_TRACE`` — default ``--trace-out`` path for run/figure.
+    #: ``REPRO_TRACE`` — default ``--trace-out`` path.
     trace: Optional[str] = None
-    #: ``REPRO_METRICS`` — default ``--metrics-out`` path for run/figure.
+    #: ``REPRO_METRICS`` — default ``--metrics-out`` path.
     metrics: Optional[str] = None
-    #: ``REPRO_FLEET_CHIPS`` — default ``repro fleet run`` fleet size.
-    fleet_chips: Optional[int] = None
-    #: ``REPRO_FLEET_EPOCHS`` — default ``repro fleet run`` epoch count.
-    fleet_epochs: Optional[int] = None
     #: ``REPRO_FLEET_CHECKPOINT`` — default ``repro fleet run
     #: --checkpoint`` journal path (crash-safe resume).
     fleet_checkpoint: Optional[str] = None
@@ -359,15 +351,11 @@ class Settings:
         return cls(
             seed=seed,
             jobs=_positive_int(env, "REPRO_JOBS"),
-            mixes=_positive_int(env, "REPRO_MIXES"),
-            epochs=_positive_int(env, "REPRO_EPOCHS"),
             cell_timeout=timeout,
             checkpoint=_clean(env, "REPRO_CHECKPOINT"),
             cache_dir=_clean(env, "REPRO_CACHE_DIR"),
             trace=_clean(env, "REPRO_TRACE"),
             metrics=_clean(env, "REPRO_METRICS"),
-            fleet_chips=_positive_int(env, "REPRO_FLEET_CHIPS"),
-            fleet_epochs=_positive_int(env, "REPRO_FLEET_EPOCHS"),
             fleet_checkpoint=_clean(env, "REPRO_FLEET_CHECKPOINT"),
             serve_host=_clean(env, "REPRO_SERVE_HOST"),
             serve_port=_nonneg_int(env, "REPRO_SERVE_PORT"),

@@ -519,7 +519,7 @@ class _ColumnStats:
         )
         self._ways: Optional[List[float]] = None
         self._ways_array = np.zeros(0)
-        self._ways_groups: Dict[str, str] = {}
+        self._ways_groups: List[Tuple[str, str]] = []
         self._noc: Dict[
             Tuple[str, MeshNoc], Tuple[np.ndarray, np.ndarray]
         ] = {}
@@ -527,20 +527,22 @@ class _ColumnStats:
     def ways(self, alloc: Allocation) -> List[float]:
         """``ways_per_bank`` of every column (recomputed if the
         allocation's ``partition_groups`` changed since)."""
-        groups = alloc.partition_groups
+        # Compared as ordered items: the group sums follow insertion
+        # order, so a reordered but equal mapping is a different sum.
+        groups = list(alloc.partition_groups.items())
         if self._ways is None or groups != self._ways_groups:
             mb = self.mb
             group_mb = mb
             col = alloc._col
             for group in dict.fromkeys(alloc.partition_groups.values()):
-                # The oracle sums a bank's group members in the
-                # iteration order of this very set, built the same way;
-                # members never granted space add 0.0 there.
-                members = {
+                # The oracle sums a bank's group members in
+                # ``partition_groups`` insertion order; members never
+                # granted space add 0.0 there.
+                members = [
                     a
                     for a, g in alloc.partition_groups.items()
                     if g == group
-                }
+                ]
                 cols = [col[a] for a in members if a in col]
                 if not cols:
                     continue
@@ -561,7 +563,7 @@ class _ColumnStats:
                 ways = np.zeros(mb.shape[1])
             self._ways_array = ways
             self._ways = ways.tolist()
-            self._ways_groups = dict(groups)
+            self._ways_groups = groups
         return self._ways
 
     def noc_average(

@@ -9,7 +9,7 @@ yielded little speedup" because trades must never penalise
 latency-critical apps (Sec. VIII-C).
 
 This module implements that algorithm so the negative result can be
-reproduced (see ``benchmarks/test_trading.py``). A *trade* moves some of
+reproduced (see :mod:`repro.experiments.studies`). A *trade* moves some of
 a latency-critical app's reservation from a close bank to a farther one,
 freeing the close bank for a batch app that values proximity, while
 growing the LC allocation by enough *extra capacity* that its service

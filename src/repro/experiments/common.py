@@ -6,11 +6,10 @@ level, and a random batch mix), then aggregate tails, speedups,
 vulnerability, and energy. This module provides that sweep plus the
 box-plot statistics the paper's figures report.
 
-Environment knobs (so benchmarks stay tractable while full paper-scale
-runs remain one setting away):
-
-* ``REPRO_MIXES``  — batch mixes per workload (paper: 40; default 6)
-* ``REPRO_EPOCHS`` — 100 ms epochs per run (default 20)
+A sweep's size is one row of :data:`SCALES`: ``paper`` is the paper's
+40 batch mixes of 25 epochs each (the library default, and what
+``results/`` commits); ``smoke`` is the smallest size at which every
+claim of :mod:`repro.experiments.report` still holds.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import Engine, Settings, SystemConfig
+from ..config import Engine, SystemConfig
 from ..metrics.speedup import gmean, weighted_speedup
 from ..model.system import RunResult, _run_design
 from ..model.workload import WorkloadSpec, make_default_workload
@@ -41,8 +40,9 @@ __all__ = [
     "BoxStats",
     "WorkloadOutcome",
     "SweepResult",
-    "num_mixes",
-    "num_epochs",
+    "Scale",
+    "SCALES",
+    "PAPER",
     "run_seed",
     "run_sweep",
     "cached_workload_outcome",
@@ -74,16 +74,27 @@ LC_WORKLOADS = (
 )
 
 
-def num_mixes(default: int = 6) -> int:
-    """Batch mixes per workload (``REPRO_MIXES`` env override)."""
-    mixes = Settings.from_env().mixes
-    return mixes if mixes is not None else default
+@dataclass(frozen=True)
+class Scale:
+    """A named sweep size: batch mixes per workload x epochs per run."""
+
+    name: str
+    mixes: int
+    #: 100 ms epochs per run.
+    epochs: int
+
+    def __str__(self) -> str:
+        return f"{self.name} ({self.mixes} mixes x {self.epochs} epochs)"
 
 
-def num_epochs(default: int = 20) -> int:
-    """Epochs per run (``REPRO_EPOCHS`` env override)."""
-    epochs = Settings.from_env().epochs
-    return epochs if epochs is not None else default
+#: Every sweep size with a caller: ``smoke`` gates the paper's claims
+#: in the test suite, ``paper`` regenerates ``results/``.
+SCALES: Dict[str, Scale] = {
+    s.name: s for s in (Scale("smoke", 2, 10), Scale("paper", 40, 25))
+}
+
+#: The paper's sweep size; the default of every sweep function.
+PAPER = SCALES["paper"]
 
 
 @dataclass(frozen=True)
@@ -249,7 +260,7 @@ def _run_workload(
     lc_workload: str,
     load: str,
     mix_seed: int,
-    epochs: Optional[int] = None,
+    epochs: int,
     config: Optional[SystemConfig] = None,
     baseline_ipcs: Optional[Mapping[str, float]] = None,
     base_seed: int = 0,
@@ -264,7 +275,6 @@ def _run_workload(
     accelerated engine (each run a batch of one); both engines are
     bit-identical, so cached sweep results are engine-agnostic.
     """
-    epochs = epochs if epochs is not None else num_epochs()
     seed = run_seed(base_seed, mix_seed)
     lc_apps = _lc_apps_for(lc_workload, mix_seed)
     workload = make_default_workload(
@@ -408,7 +418,7 @@ def cached_workload_outcome(
     lc_workload: str,
     load: str,
     mix_seed: int,
-    epochs: Optional[int] = None,
+    epochs: int,
     base_seed: int = 0,
     config: Optional[SystemConfig] = None,
 ) -> WorkloadOutcome:
@@ -418,7 +428,6 @@ def cached_workload_outcome(
     ablation studies so their Static baselines and repeated design runs
     are shared with (and by) the figure sweeps.
     """
-    epochs = epochs if epochs is not None else num_epochs()
     return get_or_compute(
         workload_cell(
             design,
@@ -436,8 +445,8 @@ def run_sweep(
     designs: Sequence[str] = DEFAULT_DESIGNS,
     lc_workloads: Sequence[str] = LC_WORKLOADS,
     loads: Sequence[str] = ("high", "low"),
-    mixes: Optional[int] = None,
-    epochs: Optional[int] = None,
+    mixes: int = PAPER.mixes,
+    epochs: int = PAPER.epochs,
     config: Optional[SystemConfig] = None,
     jobs: Optional[int] = None,
     base_seed: int = 0,
@@ -451,8 +460,6 @@ def run_sweep(
     and shared across designs through the cache. Results are
     bit-identical for any ``jobs``.
     """
-    mixes = mixes if mixes is not None else num_mixes()
-    epochs = epochs if epochs is not None else num_epochs()
     runner = runner if runner is not None else SweepRunner(jobs)
     config_params = config_as_params(config)
     triples = [

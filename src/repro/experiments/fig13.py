@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from .common import (
     DEFAULT_DESIGNS,
     LC_WORKLOADS,
+    PAPER,
     SweepResult,
     run_sweep,
 )
@@ -41,8 +42,8 @@ def run(
     designs: Sequence[str] = DEFAULT_DESIGNS,
     lc_workloads: Sequence[str] = LC_WORKLOADS,
     loads: Sequence[str] = ("high", "low"),
-    mixes: Optional[int] = None,
-    epochs: Optional[int] = None,
+    mixes: int = PAPER.mixes,
+    epochs: int = PAPER.epochs,
     jobs: Optional[int] = None,
     base_seed: int = 0,
 ) -> Fig13Result:

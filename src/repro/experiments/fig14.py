@@ -10,11 +10,11 @@ by-product of data placement); Jumanji exactly 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from .common import DEFAULT_DESIGNS, SweepResult, run_sweep
+from .common import DEFAULT_DESIGNS, SweepResult
 
-__all__ = ["Fig14Result", "run", "format_table", "from_sweep"]
+__all__ = ["Fig14Result", "format_table", "from_sweep"]
 
 
 @dataclass
@@ -32,26 +32,6 @@ def from_sweep(
             d: sweep.avg_vulnerability(d) for d in designs
         }
     )
-
-
-def run(
-    designs: Sequence[str] = DEFAULT_DESIGNS,
-    mixes: Optional[int] = None,
-    epochs: Optional[int] = None,
-    jobs: Optional[int] = None,
-    base_seed: int = 0,
-) -> Fig14Result:
-    """Run the experiment; returns its result object."""
-    sweep = run_sweep(
-        designs=designs,
-        lc_workloads=("xapian", "Mixed"),
-        loads=("high",),
-        mixes=mixes,
-        epochs=epochs,
-        jobs=jobs,
-        base_seed=base_seed,
-    )
-    return from_sweep(sweep, designs)
 
 
 def format_table(result: Fig14Result) -> str:

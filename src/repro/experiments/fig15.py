@@ -10,12 +10,12 @@ VM-Part slightly worse (+2.4%) due to associativity-induced misses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..noc.energy import EnergyBreakdown
-from .common import DEFAULT_DESIGNS, SweepResult, run_sweep
+from .common import DEFAULT_DESIGNS, SweepResult
 
-__all__ = ["Fig15Result", "run", "format_table", "from_sweep"]
+__all__ = ["Fig15Result", "format_table", "from_sweep"]
 
 
 @dataclass
@@ -37,27 +37,6 @@ def from_sweep(
             d: sweep.avg_energy(d, load="high") for d in designs
         }
     )
-
-
-def run(
-    designs: Sequence[str] = DEFAULT_DESIGNS,
-    lc_workloads: Sequence[str] = ("xapian", "masstree", "Mixed"),
-    mixes: Optional[int] = None,
-    epochs: Optional[int] = None,
-    jobs: Optional[int] = None,
-    base_seed: int = 0,
-) -> Fig15Result:
-    """Run the experiment; returns its result object."""
-    sweep = run_sweep(
-        designs=designs,
-        lc_workloads=lc_workloads,
-        loads=("high",),
-        mixes=mixes,
-        epochs=epochs,
-        jobs=jobs,
-        base_seed=base_seed,
-    )
-    return from_sweep(sweep, designs)
 
 
 def format_table(result: Fig15Result) -> str:

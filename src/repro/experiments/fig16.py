@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .common import LC_WORKLOADS, SweepResult, run_sweep
+from .common import LC_WORKLOADS, PAPER, SweepResult, run_sweep
 
 __all__ = ["Fig16Result", "run", "format_table"]
 
@@ -46,8 +46,8 @@ class Fig16Result:
 
 def run(
     lc_workloads: Sequence[str] = LC_WORKLOADS,
-    mixes: Optional[int] = None,
-    epochs: Optional[int] = None,
+    mixes: int = PAPER.mixes,
+    epochs: int = PAPER.epochs,
     jobs: Optional[int] = None,
     base_seed: int = 0,
 ) -> Fig16Result:

@@ -10,9 +10,7 @@ constraint) to ~13% with twelve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-from typing import Any, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import SystemConfig
 from ..metrics.speedup import gmean, weighted_speedup
@@ -25,10 +23,9 @@ from ..workloads.mixes import (
     random_lc_mix,
 )
 from .common import (
+    PAPER,
     config_as_params,
     config_from_params,
-    num_epochs,
-    num_mixes,
     run_seed,
 )
 
@@ -61,6 +58,9 @@ class Fig17Result:
     speedups: Dict[int, float]
     #: num_vms -> worst normalised LC tail over mixes.
     worst_tails: Dict[int, float]
+    #: num_vms -> Jumanji epochs, summed over mixes, whose placement
+    #: failed so the runtime kept the previous allocation.
+    placement_failures: Dict[int, int]
 
     def degradation(self) -> float:
         """Speedup drop from fewest to most VMs."""
@@ -98,7 +98,7 @@ def _vm_scale_handler(
     load: str = "high",
     base_seed: int = 0,
     config: Optional[Mapping[str, Any]] = None,
-) -> Tuple[float, float]:
+) -> Tuple[float, float, int]:
     system = config_from_params(config)
     system = system if system is not None else SystemConfig()
     seed = run_seed(base_seed, mix_seed)
@@ -118,21 +118,19 @@ def _vm_scale_handler(
     worst_tail = max(
         jumanji.lc_tail_normalized(a) for a in jumanji.lc_deadlines
     )
-    return speedup, worst_tail
+    return speedup, worst_tail, jumanji.placement_failures
 
 
 def run(
     vm_configs: Sequence[int] = VM_CONFIGS,
-    mixes: Optional[int] = None,
-    epochs: Optional[int] = None,
+    mixes: int = PAPER.mixes,
+    epochs: int = PAPER.epochs,
     load: str = "high",
     config: Optional[SystemConfig] = None,
     jobs: Optional[int] = None,
     base_seed: int = 0,
 ) -> Fig17Result:
     """Run the experiment; returns its result object."""
-    mixes = mixes if mixes is not None else num_mixes()
-    epochs = epochs if epochs is not None else num_epochs()
     config = config if config is not None else SystemConfig()
     config_params = config_as_params(config)
     pairs = [
@@ -151,14 +149,17 @@ def run(
     )
     speedups: Dict[int, List[float]] = {v: [] for v in vm_configs}
     tails: Dict[int, List[float]] = {v: [] for v in vm_configs}
-    for (mix_seed, num_vms), (speedup, worst_tail) in zip(
+    failures: Dict[int, int] = {v: 0 for v in vm_configs}
+    for (mix_seed, num_vms), (speedup, worst_tail, failed) in zip(
         pairs, results
     ):
         speedups[num_vms].append(speedup)
         tails[num_vms].append(worst_tail)
+        failures[num_vms] += failed
     return Fig17Result(
         speedups={v: gmean(s) for v, s in speedups.items()},
         worst_tails={v: max(t) for v, t in tails.items()},
+        placement_failures=failures,
     )
 
 
@@ -167,13 +168,15 @@ def format_table(result: Fig17Result) -> str:
     lines = [
         "Fig. 17 — Jumanji batch speedup vs. number of VMs "
         "(mixed LC, high load)",
-        f"{'config':<18s} {'gmean speedup':>14s} {'worst tail':>11s}",
+        f"{'config':<18s} {'gmean speedup':>14s} {'worst tail':>11s} "
+        f"{'placement failed':>17s}",
     ]
     for num_vms in sorted(result.speedups):
         lines.append(
             f"{_config_label(num_vms):<18s} "
             f"{result.speedups[num_vms]:>14.3f} "
-            f"{result.worst_tails[num_vms]:>11.2f}"
+            f"{result.worst_tails[num_vms]:>11.2f} "
+            f"{result.placement_failures[num_vms]:>17d}"
         )
     lines.append(f"degradation 1 -> 12 VMs: {result.degradation():.3f}")
     return "\n".join(lines)

@@ -17,7 +17,7 @@ from ..model.api import run_model
 from ..model.workload import make_default_workload
 from ..runner import Cell, SweepRunner, register_cell_kind
 from ..workloads.mixes import random_lc_mix
-from .common import num_epochs, num_mixes, run_seed
+from .common import PAPER, run_seed
 
 __all__ = ["Fig18Result", "run", "format_table"]
 
@@ -82,15 +82,13 @@ def _noc_delay_handler(
 
 def run(
     router_delays: Sequence[int] = ROUTER_DELAYS,
-    mixes: Optional[int] = None,
-    epochs: Optional[int] = None,
+    mixes: int = PAPER.mixes,
+    epochs: int = PAPER.epochs,
     design: str = "Jumanji",
     jobs: Optional[int] = None,
     base_seed: int = 0,
 ) -> Fig18Result:
     """Run the experiment; returns its result object."""
-    mixes = mixes if mixes is not None else num_mixes()
-    epochs = epochs if epochs is not None else num_epochs()
     pairs = [
         (delay, mix_seed)
         for delay in router_delays

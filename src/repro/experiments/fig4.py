@@ -16,13 +16,13 @@ and Jumanji show near-zero vulnerability, Jumanji exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..model.api import run_model
 from ..model.workload import make_default_workload
-from .common import num_epochs
+from .common import PAPER
 
 __all__ = ["Fig4Result", "run", "format_table"]
 
@@ -44,11 +44,10 @@ class Fig4Result:
 
 def run(
     mix_seed: int = 0,
-    epochs: Optional[int] = None,
+    epochs: int = PAPER.epochs,
     designs: Sequence[str] = CASE_STUDY_DESIGNS,
 ) -> Fig4Result:
     """Run the case study and collect the three time series."""
-    epochs = epochs if epochs is not None else num_epochs()
     out = Fig4Result(epochs=epochs)
     for design in designs:
         workload = make_default_workload(

@@ -12,10 +12,10 @@ vulnerability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..model.api import run_model
-from .common import num_epochs
+from .common import PAPER
 
 __all__ = ["Fig5Result", "run", "format_table"]
 
@@ -32,11 +32,10 @@ class Fig5Result:
 
 def run(
     mix_seed: int = 0,
-    epochs: Optional[int] = None,
+    epochs: int = PAPER.epochs,
     designs: Sequence[str] = FIG5_DESIGNS,
 ) -> Fig5Result:
     """Run the experiment; returns its result object."""
-    epochs = epochs if epochs is not None else num_epochs()
     speedup: Dict[str, float] = {}
     worst: Dict[str, float] = {}
     vuln: Dict[str, float] = {}

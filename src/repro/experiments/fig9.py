@@ -10,13 +10,13 @@ works for many LC apps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..config import ControllerConfig
 from ..metrics.speedup import weighted_speedup
 from ..model.api import run_model
 from ..model.workload import make_default_workload
-from .common import num_epochs
+from .common import PAPER
 
 __all__ = ["Fig9Result", "PARAMETER_GRID", "run", "format_table"]
 
@@ -64,11 +64,10 @@ def _describe(group: str, cfg: ControllerConfig) -> str:
 
 def run(
     mix_seed: int = 0,
-    epochs: Optional[int] = None,
+    epochs: int = PAPER.epochs,
     design: str = "Jumanji",
 ) -> Fig9Result:
     """Run the experiment; returns its result object."""
-    epochs = epochs if epochs is not None else num_epochs()
     result = Fig9Result()
     workload = make_default_workload(
         ["xapian"], mix_seed=mix_seed, load="high"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..config import QPS_TABLE, SystemConfig
-from .common import SweepResult, run_sweep
+from .common import SweepResult
 
 __all__ = [
     "Table1Result",
@@ -38,21 +38,9 @@ class Table1Result:
     measurements: Dict[str, Tuple[float, float, float]]
 
 
-def run_table1(
-    sweep: Optional[SweepResult] = None,
-    mixes: Optional[int] = None,
-    epochs: Optional[int] = None,
-) -> Table1Result:
-    """Derive Table I from measurements (a sweep may be reused)."""
+def run_table1(sweep: SweepResult) -> Table1Result:
+    """Derive Table I from a sweep's measurements (the Fig. 13 run)."""
     designs = ("Adaptive", "VM-Part", "Jigsaw", "Jumanji")
-    if sweep is None:
-        sweep = run_sweep(
-            designs=("Static",) + designs,
-            lc_workloads=("xapian", "Mixed"),
-            loads=("high",),
-            mixes=mixes,
-            epochs=epochs,
-        )
     # Tail check: a design meets deadlines only if it does so on every
     # workload — the worst per-(workload, load) median is the verdict
     # input (a design that wrecks xapian is not excused by silo).

@@ -64,9 +64,8 @@ def run_model(
     * ``lc_workload=`` — a named LC workload (``"xapian"``, ...,
       ``"Mixed"``); builds the paper's default mix from ``load`` /
       ``mix_seed`` / ``config`` and returns the sweep-cell triple
-      ``(outcome, result, baseline_ipcs)``. ``epochs`` defaults to the
-      ``REPRO_EPOCHS`` setting and the cell seed is derived from
-      ``base_seed`` / ``mix_seed``.
+      ``(outcome, result, baseline_ipcs)``. ``epochs`` defaults to 20
+      and the cell seed is derived from ``base_seed`` / ``mix_seed``.
 
     ``design_kwargs`` are forwarded to
     :func:`~repro.core.designs.make_design` (sensitivity variants).
@@ -141,7 +140,7 @@ def run_model(
         lc_workload,
         load,
         mix_seed,
-        epochs=epochs,
+        epochs=epochs if epochs is not None else 20,
         config=config,
         baseline_ipcs=baseline_ipcs,
         base_seed=base_seed,

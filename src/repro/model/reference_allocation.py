@@ -223,13 +223,15 @@ class ReferenceAllocation:
             return 0.0
         group = self.partition_groups.get(app)
         if group is not None:
-            members = {
+            # Insertion order, not a set: the float sum below must not
+            # depend on the string-hash seed of the process.
+            members = [
                 a
                 for a, g in self.partition_groups.items()
                 if g == group
-            }
+            ]
         else:
-            members = {app}
+            members = [app]
         ways_per_mb = self.config.llc_bank_ways / self.config.llc_bank_mb
         total = 0.0
         for bank_map in self.allocs.values():

@@ -159,6 +159,9 @@ class RunResult:
     lc_deadlines: Dict[str, float]
     lc_all_latencies: Dict[str, List[float]]
     warmup_epochs: int
+    #: Epochs whose placement failed, so the runtime kept the previous
+    #: allocation (``placement_failed`` runtime events).
+    placement_failures: int = 0
 
     def lc_tail(self, app: str, pct: float = 95.0, window: int = 21) -> float:
         """Tail latency of post-warmup requests (deadline-consistent).
@@ -540,6 +543,10 @@ class SystemModel:
             lc_deadlines=dict(self._deadlines),
             lc_all_latencies=state.all_latencies,
             warmup_epochs=state.warmup,
+            placement_failures=sum(
+                e["event"] == "placement_failed"
+                for e in self.runtime.events
+            ),
         )
 
     def run(self, num_epochs: int = 20) -> RunResult:

@@ -557,9 +557,11 @@ def _worker(
 
     Returns ``(index, attempt, payload)`` where payload is one of
     ``("ok", value, was_cached, duration, quarantined, events)``,
-    ``("crash", message)``, or ``("error", traceback_text)`` — failures
-    travel as markers, never as raises, so the parent can apply its
-    retry policy deterministically.
+    ``("crash", message)``, or ``("error", traceback_text,
+    quarantined)`` — failures travel as markers, never as raises, so
+    the parent can apply its retry policy deterministically. An error
+    carries its quarantine count too: the attempt may have moved a
+    corrupt entry aside before it failed.
 
     ``events`` ships the worker's observability records (spans inside
     the cell — placer stages, model epochs — plus emitted events) back
@@ -584,7 +586,9 @@ def _worker(
     except _SimulatedCrash as exc:
         return index, attempt, ("crash", str(exc))
     except Exception:
-        return index, attempt, ("error", traceback.format_exc())
+        return index, attempt, (
+            "error", traceback.format_exc(), cache.corrupt_detected
+        )
     events = obs.take_events() if obs_enabled else None
     return index, attempt, (
         "ok", value, was_cached, duration, quarantined, events
@@ -901,16 +905,21 @@ class SweepRunner:
     ) -> Tuple[Any, bool, float]:
         """One cell, in-process, applying the retry policy."""
         attempt = 0
+        # Counted over every attempt: one that quarantined a corrupt
+        # entry and then failed still moved it aside.
+        corrupt_before = self.cache.corrupt_detected
         while True:
             try:
                 with obs.span(
                     "sweep.cell", kind=cell.kind, attempt=attempt
                 ):
-                    value, was_cached, duration, quarantined = _evaluate(
+                    value, was_cached, duration, _quarantined = _evaluate(
                         cell, key, self.cache, self.fault_plan, attempt,
                         in_worker=False,
                     )
-                batch.quarantined += quarantined
+                batch.quarantined += (
+                    self.cache.corrupt_detected - corrupt_before
+                )
                 return value, was_cached, duration
             except _SimulatedCrash as exc:
                 failure: Tuple[type, str] = (CellCrashed, str(exc))
@@ -1114,6 +1123,7 @@ class SweepRunner:
                     elif tag == "crash":
                         fail_or_retry(i, CellCrashed, payload[1], now)
                     else:
+                        batch.quarantined += payload[2]
                         fail_or_retry(i, CellFailed, payload[1], now)
         finally:
             if pool is not None:

@@ -556,8 +556,8 @@ class TestDenseMatchesOracle:
 
     def test_group_sums_follow_the_oracle_set_order(self):
         # Six group members with values whose float sum depends on the
-        # order they are added in: the dense class must walk the member
-        # set exactly as the oracle does.
+        # order they are added in: both classes must walk the members
+        # in ``partition_groups`` insertion order, never hash order.
         config = SystemConfig()
         dense = Allocation(config, partition_mode="per-vm")
         oracle = ReferenceAllocation(config, partition_mode="per-vm")
@@ -570,5 +570,14 @@ class TestDenseMatchesOracle:
                     values[(k + b) % 6] * (0.8 + b / 97)
                     for b in range(config.num_banks)
                 ])
+        ways_per_mb = config.llc_bank_ways / config.llc_bank_mb
         for app in members:
             assert dense.ways_per_bank(app) == oracle.ways_per_bank(app)
+            size = oracle.app_size(app)
+            expected = 0.0
+            for bank_map in oracle.allocs.values():
+                group_mb = 0
+                for member in members:
+                    group_mb += bank_map.get(member, 0.0)
+                expected += group_mb * ways_per_mb * (bank_map[app] / size)
+            assert oracle.ways_per_bank(app) == expected

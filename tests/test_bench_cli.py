@@ -88,6 +88,15 @@ def _break_faults(monkeypatch):
     monkeypatch.setattr(repro.chaos, "differential_sweep", differential_sweep)
 
 
+def _break_faults_quarantine(monkeypatch):
+    import repro.runner
+
+    # Nothing gets corrupted, so the warm pass quarantines nothing.
+    monkeypatch.setattr(
+        repro.runner, "_corrupt_entry", lambda cache, key: None
+    )
+
+
 def _break_obs(monkeypatch):
     import repro.bench
 
@@ -117,14 +126,17 @@ def _break_serve(monkeypatch):
     monkeypatch.setattr(repro.serve.loadgen, "run_loadgen", run_loadgen)
 
 
-#: One forced gate failure per suite.
+#: Forced gate failures per suite: (breaker, the gate it trips).
 BREAKERS = {
-    "tracesim": (_break_tracesim, "stats_identical"),
-    "model": (_break_model, "stats_identical"),
-    "faults": (_break_faults, "differential.cold_identical"),
-    "obs": (_break_obs, "overhead.ok"),
-    "fleet": (_break_fleet, "determinism.identical_results"),
-    "serve": (_break_serve, "determinism.identical_decisions"),
+    "tracesim": [(_break_tracesim, "stats_identical")],
+    "model": [(_break_model, "stats_identical")],
+    "faults": [
+        (_break_faults, "differential.cold_identical"),
+        (_break_faults_quarantine, "differential.warm_quarantine_ok"),
+    ],
+    "obs": [(_break_obs, "overhead.ok")],
+    "fleet": [(_break_fleet, "determinism.identical_results")],
+    "serve": [(_break_serve, "determinism.identical_decisions")],
 }
 
 
@@ -134,17 +146,18 @@ def test_every_suite_has_smoke_args_and_a_breaker():
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_failed_gate_fails_the_suite(suite, bench_env, monkeypatch, capsys):
-    breaker, gate = BREAKERS[suite]
-    breaker(monkeypatch)
-    out = bench_env / f"BENCH_{suite}.json"
-    rc, report = _run_suite(suite, out, extra=("--jobs", "1"))
-    assert rc == 1
-    assert report["ok"] is False
-    value = report
-    for key in gate.split("."):
-        value = value[key]
-    assert value is False
-    assert f"{suite.upper()} SUITE FAILED" in capsys.readouterr().out
+    for breaker, gate in BREAKERS[suite]:
+        with monkeypatch.context() as patch:
+            breaker(patch)
+            out = bench_env / f"BENCH_{suite}.json"
+            rc, report = _run_suite(suite, out, extra=("--jobs", "1"))
+        assert rc == 1
+        assert report["ok"] is False
+        value = report
+        for key in gate.split("."):
+            value = value[key]
+        assert value is False, gate
+        assert f"{suite.upper()} SUITE FAILED" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["bench"], ["bench", "--suite", "sweeps"]])
@@ -155,10 +168,8 @@ def test_bench_needs_a_known_suite(argv, capsys):
     assert "--suite" in capsys.readouterr().err
 
 
-def test_figure_command_accepts_jobs(bench_env, capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_MIXES", "1")
-    monkeypatch.setenv("REPRO_EPOCHS", "2")
-    assert main(["figure", "fig18", "--jobs", "1"]) == 0
+def test_figure_command_accepts_jobs(bench_env, capsys):
+    assert main(["figure", "fig18", "--scale", "smoke", "--jobs", "1"]) == 0
     assert "Fig. 18" in capsys.readouterr().out
 
 

@@ -18,6 +18,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "--scale", "huge"],
+        ["figure", "fig13", "--mixes", "2"],
+        ["figure", "fig13", "--epochs", "2"],
+        ["report"],
+    ])
+    def test_only_named_scales(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_designs_lists_all(self, capsys):
@@ -64,5 +74,22 @@ class TestCommands:
         assert "port attack" in capsys.readouterr().out
 
     def test_figure_fig5_small(self, capsys):
-        assert main(["figure", "fig5", "--epochs", "6"]) == 0
-        assert "Jumanji" in capsys.readouterr().out
+        assert main(["figure", "fig5", "--scale", "smoke"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("scale: smoke (2 mixes x 10 epochs); seed: 0")
+        assert "Jumanji" in out
+        assert "claims: 3/3 hold" in out
+
+    def test_failed_claim_fails_the_command(self, capsys, monkeypatch):
+        import dataclasses
+
+        from repro.experiments import report
+
+        failing = [report.Claim("num_cores == 21", "20", False)]
+        row = report._BY_STEM["table2"]
+        monkeypatch.setitem(report._BY_STEM, "table2", dataclasses.replace(
+            row, claims=lambda cfg: failing))
+        assert main(["figure", "table2"]) == 1
+        out = capsys.readouterr().out
+        assert "CLAIM FAILED: num_cores == 21 (value 20)" in out
+        assert "claims: 0/1 hold" in out

@@ -87,22 +87,25 @@ class TestContextValidation:
             AppInfo("a", 0, 0, True, curve, -1.0)
 
 
-class TestEnvKnobs:
-    def test_mixes_env_override(self, monkeypatch):
-        from repro.experiments.common import num_epochs, num_mixes
+class TestScaleTable:
+    def test_named_scales(self):
+        from repro.experiments.common import SCALES
 
-        monkeypatch.setenv("REPRO_MIXES", "11")
-        monkeypatch.setenv("REPRO_EPOCHS", "7")
-        assert num_mixes() == 11
-        assert num_epochs() == 7
+        assert {n: (s.mixes, s.epochs) for n, s in SCALES.items()} == {
+            "smoke": (2, 10),
+            "paper": (40, 25),
+        }
 
-    def test_defaults_without_env(self, monkeypatch):
-        from repro.experiments.common import num_epochs, num_mixes
+    def test_sweep_defaults_are_paper_scale(self):
+        import inspect
 
-        monkeypatch.delenv("REPRO_MIXES", raising=False)
-        monkeypatch.delenv("REPRO_EPOCHS", raising=False)
-        assert num_mixes(9) == 9
-        assert num_epochs(13) == 13
+        from repro.experiments import fig13, fig17
+        from repro.experiments.common import run_sweep
+
+        for fn in (run_sweep, fig13.run, fig17.run):
+            params = inspect.signature(fn).parameters
+            assert (params["mixes"].default, params["epochs"].default) == (
+                40, 25)
 
 
 class TestDesignsOnUnusualWorkloads:

@@ -84,26 +84,6 @@ class TestResolveJobs:
             resolve_jobs(0)
 
 
-class TestEnvScaleKnobs:
-    """REPRO_MIXES / REPRO_EPOCHS fail loudly on garbage values."""
-
-    @pytest.mark.parametrize("name,fn_default", [
-        ("REPRO_MIXES", 6), ("REPRO_EPOCHS", 20),
-    ])
-    def test_garbage_rejected(self, monkeypatch, name, fn_default):
-        from repro.experiments.common import num_epochs, num_mixes
-
-        fn = num_mixes if name == "REPRO_MIXES" else num_epochs
-        for bad in ("many", "1.5", "0", "-2"):
-            monkeypatch.setenv(name, bad)
-            with pytest.raises(ConfigError, match=name):
-                fn()
-        monkeypatch.setenv(name, "3")
-        assert fn() == 3
-        monkeypatch.delenv(name)
-        assert fn() == fn_default
-
-
 class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -174,6 +154,26 @@ class TestCacheCorruption:
         runner = SweepRunner(jobs=1, cache=cache)
         assert runner.map(_cells()) == _expected()
         assert runner.stats.quarantined == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_quarantine_counted_when_the_attempt_then_fails(
+        self, tmp_path, jobs
+    ):
+        # The attempt that moves the corrupt entry aside then fails (an
+        # injected error after the miss); the retry finds no entry.
+        cache = self._seed_cache(tmp_path)
+        key = cell_key(_cells()[0])
+        cache._path(key).write_bytes(b"not a cache entry at all")
+        plan = next(
+            p for p in (FaultPlan(seed=s, cell_error=0.5) for s in range(99))
+            if p.fires("cell_error", key, 0)
+            and not p.fires("cell_error", key, 1)
+        )
+        runner = SweepRunner(
+            jobs=jobs, cache=cache, fault_plan=plan, policy=_fast_policy()
+        )
+        assert runner.map(_cells()) == _expected()
+        assert (runner.stats.retries, runner.stats.quarantined) == (1, 1)
 
     def test_injected_corruption_differential(self, tmp_path):
         plan = FaultPlan(seed=2, cache_corrupt=0.8)

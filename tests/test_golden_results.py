@@ -4,8 +4,8 @@
 the two reports the paper's story hangs on:
 
 * Fig. 13 — gmean batch weighted speedup per design for the
-  (xapian, high-load) slice at the committed scale (6 mixes, 20
-  epochs);
+  (xapian, high-load) slice at the committed ``paper`` scale (40
+  mixes, 25 epochs);
 * Fig. 12 — the performance-leakage spreads (shared vs isolated) and
   the per-mix normalised tails.
 
@@ -19,7 +19,7 @@ can never silently diverge from the model.
 After an *intentional* model change, regenerate both with::
 
     PYTHONPATH=src python tests/test_golden_results.py
-    REPRO_MIXES=6 REPRO_EPOCHS=20 python -m pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m repro reproduce --scale paper --out results
 """
 
 import json
@@ -29,7 +29,7 @@ import re
 import pytest
 
 from repro.experiments import fig12
-from repro.experiments.common import DEFAULT_DESIGNS, run_sweep
+from repro.experiments.common import DEFAULT_DESIGNS, PAPER, run_sweep
 from repro.runner import ResultCache, SweepRunner
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -43,7 +43,7 @@ def golden():
 
 
 def _fig13_slice(scale, cache_dir):
-    runner = SweepRunner(jobs=1, cache=ResultCache(cache_dir))
+    runner = SweepRunner(jobs=2, cache=ResultCache(cache_dir))
     return run_sweep(
         designs=DEFAULT_DESIGNS,
         lc_workloads=(scale["lc_workload"],),
@@ -147,7 +147,8 @@ def _regenerate() -> None:
     import tempfile
 
     scale13 = {"lc_workload": "xapian", "load": "high",
-               "mixes": 6, "epochs": 20, "base_seed": 0}
+               "mixes": PAPER.mixes, "epochs": PAPER.epochs,
+               "base_seed": 0}
     scale12 = {"num_mixes": 12, "accesses": 16000, "seed": 3}
     with tempfile.TemporaryDirectory() as cache_dir:
         sweep = _fig13_slice(scale13, cache_dir)

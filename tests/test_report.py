@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.report import (
     ARTIFACTS,
+    Claim,
     collect,
     write_summary,
 )
@@ -33,9 +34,9 @@ class TestCollect:
         assert not status.complete
 
     def test_complete_when_all_paper_artifacts_exist(self, tmp_path):
-        for stem, _title in ARTIFACTS:
-            if stem.startswith(("fig", "table")):
-                (tmp_path / f"{stem}.txt").write_text("x\n")
+        for a in ARTIFACTS:
+            if a.stem.startswith(("fig", "table")):
+                (tmp_path / f"{a.stem}.txt").write_text("x\n")
         status = collect(tmp_path)
         assert status.complete
         # Ablations are extras: coverage below 1.0 is fine.
@@ -55,14 +56,24 @@ class TestWriteSummary:
         assert "- [ ] Fig. 13" in text
         assert "fig8 body" in text
 
+    def test_claims_table(self, results_dir):
+        claims = {
+            "fig8": [Claim("D-NUCA needs less space", "1.0 vs 2.0", True)],
+            "table2": [Claim("num_cores == 20", "19", False)],
+        }
+        text = write_summary(results_dir, claims=claims)
+        assert "1/2 claims hold." in text
+        assert "| fig8 | D-NUCA needs less space | 1.0 vs 2.0 | pass |" in text
+        assert "| table2 | num_cores == 20 | 19 | FAIL |" in text
+        assert text.index("## Claims") < text.index("fig8 body")
+
     def test_custom_output_path(self, results_dir, tmp_path):
         out = tmp_path / "custom.md"
         write_summary(results_dir, output=out)
         assert out.is_file()
 
     def test_real_results_dir_if_present(self):
-        """When a benchmark run has populated results/, the summary
-        assembles without error."""
+        """The committed results/ assemble into a summary."""
         repo_results = pathlib.Path(__file__).parent.parent / "results"
         if not repo_results.is_dir():
             pytest.skip("no results/ yet")

@@ -111,10 +111,11 @@ class TestSeedPlumbing:
 
 
 class TestReproducePaperScript:
-    def test_cli_accepts_seed_and_jobs(self, monkeypatch):
+    def test_cli_accepts_seed_and_jobs(self, monkeypatch, tmp_path):
         import importlib.util
         import pathlib
-        import sys
+
+        from repro.experiments import report
 
         path = (
             pathlib.Path(__file__).resolve().parent.parent
@@ -126,16 +127,19 @@ class TestReproducePaperScript:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
 
-        monkeypatch.setattr(
-            sys, "argv", ["reproduce_paper.py", "--seed", "3",
-                          "--jobs", "2"]
-        )
-        args = module._parse_args()
-        assert args.seed == 3
-        assert args.jobs == 2
+        calls = []
+
+        def reproduce(scale, out, seed, jobs, log):
+            calls.append((scale.name, seed, jobs))
+            return {}
+
+        monkeypatch.setattr(report, "reproduce", reproduce)
+        out = str(tmp_path)
+        assert module.main(
+            ["--seed", "3", "--jobs", "2", "--scale", "smoke", "--out", out]
+        ) == 0
+        assert calls[-1] == ("smoke", 3, 2)
 
         monkeypatch.setenv("REPRO_SEED", "17")
-        monkeypatch.setattr(sys, "argv", ["reproduce_paper.py"])
-        args = module._parse_args()
-        assert args.seed == 17
-        assert args.jobs is None
+        assert module.main(["--out", out]) == 0
+        assert calls[-1] == ("paper", 17, None)

@@ -23,8 +23,6 @@ class TestSettings:
         s = Settings.from_env({})
         assert s.seed == 0
         assert s.jobs is None
-        assert s.mixes is None
-        assert s.epochs is None
         assert s.cell_timeout is None
         assert s.checkpoint is None
         assert s.cache_dir is None
@@ -44,8 +42,6 @@ class TestSettings:
             {
                 "REPRO_SEED": "-3",
                 "REPRO_JOBS": "4",
-                "REPRO_MIXES": "40",
-                "REPRO_EPOCHS": "25",
                 "REPRO_CELL_TIMEOUT": "1.5",
                 "REPRO_CHECKPOINT": "/tmp/ck.jsonl",
                 "REPRO_CACHE_DIR": "/tmp/cache",
@@ -55,8 +51,6 @@ class TestSettings:
         )
         assert s.seed == -3
         assert s.jobs == 4
-        assert s.mixes == 40
-        assert s.epochs == 25
         assert s.cell_timeout == 1.5
         assert s.checkpoint == "/tmp/ck.jsonl"
         assert s.cache_dir == "/tmp/cache"
@@ -65,7 +59,7 @@ class TestSettings:
 
     @pytest.mark.parametrize(
         "name",
-        ["REPRO_JOBS", "REPRO_MIXES", "REPRO_EPOCHS"],
+        ["REPRO_JOBS", "REPRO_SERVE_MAX_BODY"],
     )
     @pytest.mark.parametrize("bad", ["banana", "1.5", "0", "-2"])
     def test_garbage_ints_name_the_variable(self, name, bad):
