@@ -41,7 +41,9 @@ import pathlib
 import statistics
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from . import __version__
 from .config import Settings
@@ -329,6 +331,9 @@ MODEL_FLOOR_MIXES = 8
 #: tiny smoke runs flaky.
 MODEL_SMOKE_FLOOR = 0.5
 
+#: Timed passes per engine and design; the best one counts.
+MODEL_TIMING_REPEATS = 3
+
 
 def run_model_bench(
     mixes: int = 2,
@@ -339,17 +344,21 @@ def run_model_bench(
 ) -> Dict[str, Any]:
     """Benchmark the batched multi-mix epoch engine on the Fig. 13 loop.
 
-    Each design runs once as a single
+    Each design runs as a single
     :class:`~repro.model.batch.BatchSystemModel` over all ``mixes``
-    mixes (one fused queueing kernel per epoch), then once per mix
-    under the frozen scalar reference engine with the same seeds and a
-    fresh workload each; every per-mix ``RunResult`` pair must be
+    mixes (one fused queueing kernel per epoch), and per mix under the
+    frozen scalar reference engine with the same seeds and a fresh
+    workload each; every per-mix ``RunResult`` pair must be
     bit-identical. Deadlines are prewarmed (they are a shared
-    ``lru_cache`` both engines hit) so the timing covers the epoch loop
-    itself. Per-design speedups are gated against
-    :data:`MODEL_SPEEDUP_FLOORS` when ``mixes`` is at least
-    :data:`MODEL_FLOOR_MIXES`.
+    ``lru_cache`` both engines hit), and each design warms both engines
+    untimed on one extra mix, so the timing covers the epoch loop
+    itself; each engine's time is its best of
+    :data:`MODEL_TIMING_REPEATS` passes, every batched pass starting
+    from an empty curve-combination cache. Per-design speedups are
+    gated against :data:`MODEL_SPEEDUP_FLOORS` when ``mixes`` is at
+    least :data:`MODEL_FLOOR_MIXES`.
     """
+    from .cache import misscurve
     from .core.designs import make_design
     from .experiments.common import DEFAULT_DESIGNS, run_seed
     from .model.batch import BatchSystemModel
@@ -373,38 +382,61 @@ def run_model_bench(
             base_app(app), router_delay=probe.config.router_delay
         )
 
-    seeds = [run_seed(0, m) for m in range(mixes)]
+    def batch_pass(design_name: str, mix_seeds: Sequence[int]):
+        """One timed batched run over ``mix_seeds``, from a cold
+        curve-combination cache."""
+        model = BatchSystemModel(
+            design_name,
+            [
+                make_default_workload([lc_workload], mix_seed=m, load=load)
+                for m in mix_seeds
+            ],
+            seeds=[run_seed(0, m) for m in mix_seeds],
+        )
+        with misscurve._COMBINE_LOCK:
+            misscurve._COMBINE_CACHE.clear()
+        start = time.perf_counter()
+        results = model.run(epochs)
+        return time.perf_counter() - start, model, results
+
+    def reference_pass(design_name: str, mix_seed: int):
+        """One timed scalar reference run of one mix."""
+        model = SystemModel(
+            make_design(design_name),
+            make_default_workload([lc_workload], mix_seed=mix_seed, load=load),
+            seed=run_seed(0, mix_seed),
+            engine="reference",
+        )
+        start = time.perf_counter()
+        result = model.run(epochs)
+        return time.perf_counter() - start, result
+
     cells: List[Dict[str, Any]] = []
     per_design: Dict[str, Dict[str, Any]] = {}
     for design_name in designs:
-        # One batched run across every mix in lockstep.
-        batch_model = BatchSystemModel(
-            design_name,
-            [
-                make_default_workload(
-                    [lc_workload], mix_seed=m, load=load
-                )
-                for m in range(mixes)
-            ],
-            seeds=seeds,
+        # Warm both engines' code paths untimed, on a mix no timed pass
+        # uses; then each engine's time is its best of
+        # MODEL_TIMING_REPEATS passes, so one host stall does not decide
+        # a gate over millisecond timings.
+        batch_pass(design_name, [mixes])
+        reference_pass(design_name, mixes)
+        batch_wall, batch_model, batch_results = min(
+            (
+                batch_pass(design_name, range(mixes))
+                for _ in range(MODEL_TIMING_REPEATS)
+            ),
+            key=lambda run: run[0],
         )
-        start = time.perf_counter()
-        batch_results = batch_model.run(epochs)
-        batch_wall = time.perf_counter() - start
 
-        # Per-mix scalar reference runs, same seeds, fresh workloads.
         ref_wall = 0.0
         for mix_seed, batch_result in enumerate(batch_results):
-            workload = make_default_workload(
-                [lc_workload], mix_seed=mix_seed, load=load
+            cell_wall, ref_result = min(
+                (
+                    reference_pass(design_name, mix_seed)
+                    for _ in range(MODEL_TIMING_REPEATS)
+                ),
+                key=lambda run: run[0],
             )
-            ref_model = SystemModel(
-                make_design(design_name), workload,
-                seed=seeds[mix_seed], engine="reference",
-            )
-            start = time.perf_counter()
-            ref_result = ref_model.run(epochs)
-            cell_wall = time.perf_counter() - start
             ref_wall += cell_wall
             cells.append(
                 {

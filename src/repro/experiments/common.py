@@ -22,6 +22,7 @@ import numpy as np
 
 from ..config import Engine, SystemConfig
 from ..metrics.speedup import gmean, weighted_speedup
+from ..model.batch import BatchSystemModel
 from ..model.system import RunResult, _run_design
 from ..model.workload import WorkloadSpec, make_default_workload
 from ..noc.energy import EnergyBreakdown
@@ -255,6 +256,30 @@ def config_from_params(
     return SystemConfig(**params)
 
 
+def _outcome(
+    design: str,
+    lc_workload: str,
+    load: str,
+    mix_seed: int,
+    result: RunResult,
+    baseline_ipcs: Mapping[str, float],
+) -> WorkloadOutcome:
+    """One cell's outcome, read off its run and its Static baseline."""
+    return WorkloadOutcome(
+        design=design,
+        lc_workload=lc_workload,
+        load=load,
+        mix_seed=mix_seed,
+        speedup=weighted_speedup(result.batch_ipcs(), baseline_ipcs),
+        lc_tails_normalized={
+            a: result.lc_tail_normalized(a) for a in result.lc_deadlines
+        },
+        vulnerability=result.avg_vulnerability(),
+        energy=result.total_energy(),
+        avg_lc_size_mb=result.avg_lc_size(),
+    )
+
+
 def _run_workload(
     design: str,
     lc_workload: str,
@@ -272,8 +297,8 @@ def _run_workload(
     ``baseline_ipcs`` are the Static IPCs used to compute weighted
     speedup; when omitted a Static run is performed first (and returned
     as the third element for reuse). ``engine`` defaults to the
-    accelerated engine (each run a batch of one); both engines are
-    bit-identical, so cached sweep results are engine-agnostic.
+    accelerated engine; both engines are bit-identical, so cached sweep
+    results are engine-agnostic.
     """
     seed = run_seed(base_seed, mix_seed)
     lc_apps = _lc_apps_for(lc_workload, mix_seed)
@@ -291,24 +316,17 @@ def _run_workload(
         engine=engine,
         **design_kwargs,
     )
-    ipcs = result.batch_ipcs()
-    outcome = WorkloadOutcome(
-        design=design,
-        lc_workload=lc_workload,
-        load=load,
-        mix_seed=mix_seed,
-        speedup=weighted_speedup(ipcs, baseline_ipcs),
-        lc_tails_normalized={
-            a: result.lc_tail_normalized(a) for a in result.lc_deadlines
-        },
-        vulnerability=result.avg_vulnerability(),
-        energy=result.total_energy(),
-        avg_lc_size_mb=result.avg_lc_size(),
+    outcome = _outcome(
+        design, lc_workload, load, mix_seed, result, baseline_ipcs
     )
     return outcome, result, dict(baseline_ipcs)
 
 
 # -- sweep cells (see repro.runner) ------------------------------------------
+
+#: A chunk of baseline or workload cells (one ``BatchSystemModel``) may
+#: mix LC workloads, loads and batch mixes; everything else is shared.
+_CHUNK_AXES = ("lc_workload", "load", "mix_seed")
 
 
 def baseline_cell(
@@ -357,60 +375,62 @@ def workload_cell(
     )
 
 
-@register_cell_kind("baseline")
+def _run_chunk(
+    design: str, chunk: Sequence[Mapping[str, Any]]
+) -> List[RunResult]:
+    """One design over a chunk's workloads, as one batched run.
+
+    Each mix's result is bit-identical to its own single run.
+    """
+    shared = chunk[0]
+    config = config_from_params(shared["config"])
+    workloads = [
+        make_default_workload(
+            _lc_apps_for(p["lc_workload"], p["mix_seed"]),
+            mix_seed=p["mix_seed"],
+            load=p["load"],
+            config=config,
+        )
+        for p in chunk
+    ]
+    seeds = [run_seed(shared["base_seed"], p["mix_seed"]) for p in chunk]
+    return BatchSystemModel(design, workloads, seeds=seeds).run(
+        shared["epochs"]
+    )
+
+
+@register_cell_kind("baseline", chunk_over=_CHUNK_AXES)
 def _baseline_handler(
-    lc_workload: str,
-    load: str,
-    mix_seed: int,
-    epochs: int,
-    base_seed: int = 0,
-    config: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, float]:
-    lc_apps = _lc_apps_for(lc_workload, mix_seed)
-    workload = make_default_workload(
-        lc_apps,
-        mix_seed=mix_seed,
-        load=load,
-        config=config_from_params(config),
-    )
-    static = _run_design(
-        "Static",
-        workload,
-        num_epochs=epochs,
-        seed=run_seed(base_seed, mix_seed),
-        engine=Engine.FAST,
-    )
-    return static.batch_ipcs()
+    chunk: Sequence[Mapping[str, Any]],
+) -> List[Dict[str, float]]:
+    return [r.batch_ipcs() for r in _run_chunk("Static", chunk)]
 
 
-@register_cell_kind("workload")
+@register_cell_kind("workload", chunk_over=_CHUNK_AXES)
 def _workload_handler(
-    design: str,
-    lc_workload: str,
-    load: str,
-    mix_seed: int,
-    epochs: int,
-    base_seed: int = 0,
-    config: Optional[Mapping[str, Any]] = None,
-) -> WorkloadOutcome:
+    chunk: Sequence[Mapping[str, Any]],
+) -> List[WorkloadOutcome]:
     # The Static baseline is itself a cached cell, so it is computed
     # once per workload no matter how many designs (or workers) need it.
-    baseline = get_or_compute(
-        baseline_cell(
-            lc_workload, load, mix_seed, epochs, base_seed, config
+    baselines = [
+        get_or_compute(
+            baseline_cell(
+                p["lc_workload"], p["load"], p["mix_seed"], p["epochs"],
+                p["base_seed"], p["config"],
+            )
         )
-    )
-    outcome, _result, _ipcs = _run_workload(
-        design,
-        lc_workload,
-        load,
-        mix_seed,
-        epochs=epochs,
-        config=config_from_params(config),
-        baseline_ipcs=baseline,
-        base_seed=base_seed,
-    )
-    return outcome
+        for p in chunk
+    ]
+    design = chunk[0]["design"]
+    return [
+        _outcome(
+            design, p["lc_workload"], p["load"], p["mix_seed"], result,
+            baseline,
+        )
+        for p, result, baseline in zip(
+            chunk, _run_chunk(design, chunk), baselines
+        )
+    ]
 
 
 def cached_workload_outcome(

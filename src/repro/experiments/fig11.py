@@ -16,7 +16,6 @@ from ..sim.attack import (
     PortAttackConfig,
     PortAttackSample,
     attack_signal_strength,
-    run_port_attack,
     run_port_attack_sharded,
 )
 
@@ -54,16 +53,12 @@ def run(
 ) -> Fig11Result:
     """Run the experiment; returns its result object.
 
-    With ``jobs`` set, the attack trace and the quiet baseline run as
-    two parallel cells through the sweep runner (and its result cache);
-    both paths produce identical samples.
+    The attack trace and the quiet baseline run as two cells through
+    the sweep runner (``jobs`` workers, as resolved by
+    :func:`repro.runner.resolve_jobs`) and its result cache.
     """
     cfg = config if config is not None else PortAttackConfig()
-    if jobs is None:
-        samples = run_port_attack(cfg, include_victim=True)
-        baseline = run_port_attack(cfg, include_victim=False)
-    else:
-        samples, baseline = run_port_attack_sharded(cfg, jobs=jobs)
+    samples, baseline = run_port_attack_sharded(cfg, jobs=jobs)
     same, other, quiet = attack_signal_strength(
         samples, cfg.attacker_bank
     )

@@ -96,9 +96,9 @@ def run(
 ) -> Fig12Result:
     """Run the experiment; returns its result object.
 
-    ``jobs`` shards the (independent) DRRIP bank simulations — one cell
-    per mix per bank configuration — over the sweep runner; the serial
-    and sharded paths produce identical miss rates and tails.
+    The (independent) DRRIP bank simulations — one cell per mix per
+    bank configuration — run through the sweep runner (``jobs``
+    workers) and its result cache; results do not depend on ``jobs``.
     """
     config = config if config is not None else SystemConfig()
     shared = run_leakage_experiment(

@@ -145,6 +145,27 @@ class TenantVM:
         return self.arrival_epoch + self.lifetime_epochs
 
 
+class _ChipContext:
+    """A chip runtime's context builder over the chip's current spec.
+
+    It holds the spec and the mesh, never the chip: a bound method of
+    the chip would make chip and runtime a reference cycle, and a
+    retired chip would wait for the cycle collector.
+    """
+
+    __slots__ = ("spec", "noc")
+
+    def __init__(self, noc: MeshNoc):
+        self.spec: Optional[WorkloadSpec] = None
+        self.noc = noc
+
+    def __call__(self, sizes: Mapping[str, float]):
+        # Only reached from reconfigure(), which tick() guards behind
+        # a non-empty tenant set.
+        assert self.spec is not None
+        return self.spec.build_context(dict(sizes), self.noc)
+
+
 class FleetChip:
     """One simulated socket: capacity accounting + a Jumanji runtime."""
 
@@ -173,14 +194,14 @@ class FleetChip:
         self._free_cores: List[int] = list(range(self.config.num_cores))
         self._sims: Dict[int, LcRequestSimulator] = {}
         self._deadlines: Dict[int, float] = {}
-        self._spec: Optional[WorkloadSpec] = None
+        self._context = _ChipContext(self.noc)
         initial_lc_mb = (
             self.config.llc_size_mb * ControllerConfig().panic_fraction
         )
         self.runtime = JumanjiRuntime(
             self.design,
             self.config,
-            context_builder=self._build_context,
+            context_builder=self._context,
             controller_config=ControllerConfig(
                 history_limit=history_limit
             ),
@@ -284,12 +305,12 @@ class FleetChip:
         self._sims.clear()
         self._deadlines.clear()
         self._free_cores = list(range(self.config.num_cores))
-        self._spec = None
+        self._context.spec = None
         return displaced
 
     def _rebuild_spec(self) -> None:
         if not self.tenants:
-            self._spec = None
+            self._context.spec = None
             return
         vms = []
         for tid in sorted(self.tenants):
@@ -302,15 +323,9 @@ class FleetChip:
                     batch_apps=vm.batch_instances,
                 )
             )
-        self._spec = WorkloadSpec(
+        self._context.spec = WorkloadSpec(
             config=self.config, vms=vms, load="high"
         )
-
-    def _build_context(self, sizes: Mapping[str, float]):
-        # Only reached from reconfigure(), which tick() guards behind
-        # a non-empty tenant set.
-        assert self._spec is not None
-        return self._spec.build_context(dict(sizes), self.noc)
 
     # -- the per-socket epoch -------------------------------------------------
 
@@ -340,7 +355,7 @@ class FleetChip:
             return {}
         record = self.runtime.reconfigure()
         alloc = record.allocation
-        spec = self._spec
+        spec = self._context.spec
         assert spec is not None
         ratios: Dict[int, float] = {}
         for tid in sorted(self.tenants):

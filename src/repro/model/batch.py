@@ -1,9 +1,11 @@
 """The accelerated epoch engine: one design over a batch of mixes.
 
 Sweeps evaluate one design against many workload mixes, and every
-accelerated run is such a batch — ``SystemModel(engine="fast").run``,
-``run_model(workload=...)`` and each sweep cell are batches of one. A
-:class:`BatchSystemModel` drives all its mixes in lockstep epochs, and
+accelerated run is such a batch: ``SystemModel(engine="fast").run`` and
+``run_model(workload=...)`` are batches of one, and the sweep runner
+runs each chunk of same-design cells as one batch (mixes may differ in
+LC apps and load). A :class:`BatchSystemModel` drives all its mixes in
+lockstep epochs, and
 every stage after placement works on arrays that span the whole batch:
 
 1. **Placement** runs per mix (each mix's runtime, controller and

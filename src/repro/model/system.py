@@ -236,6 +236,50 @@ class RunResult:
         return float(np.mean(sizes)) if sizes else 0.0
 
 
+class _ContextBuilder:
+    """A model's per-epoch placement context, as its runtime rebuilds it.
+
+    It holds what it reads and never the model: a builder that closed
+    over the model would make model and runtime a reference cycle, and
+    every finished run would wait for the cycle collector.
+    """
+
+    __slots__ = ("design", "workload", "noc", "engine")
+
+    def __init__(
+        self,
+        design: LlcDesign,
+        workload: WorkloadSpec,
+        noc: MeshNoc,
+        engine: str,
+    ):
+        self.design = design
+        self.workload = workload
+        self.noc = noc
+        self.engine = engine
+
+    def __call__(self, sizes: Mapping[str, float]):
+        return self.workload.build_context(
+            self.lat_sizes(sizes), self.noc, engine=self.engine
+        )
+
+    def lat_sizes(
+        self, controller_sizes: Mapping[str, float]
+    ) -> Dict[str, float]:
+        """LC sizes the placer sees.
+
+        Feedback designs use the controller's targets; Static pins four
+        ways; Jigsaw passes nothing (it is goal-oblivious).
+        """
+        if self.design.uses_feedback:
+            return dict(controller_sizes)
+        if self.design.name == "Static":
+            config = self.workload.config
+            four_ways_mb = config.llc_size_mb * 4 / config.llc_bank_ways
+            return {a: four_ways_mb for a in self.workload.lc_apps}
+        return {}
+
+
 class SystemModel:
     """Runs one design against one workload for N epochs."""
 
@@ -269,13 +313,11 @@ class SystemModel:
         self.energy_model = (
             energy_model if energy_model is not None else EnergyModel()
         )
+        self._context = _ContextBuilder(design, workload, self.noc, engine)
         self.runtime = JumanjiRuntime(
             design,
             self.config,
-            context_builder=lambda sizes: workload.build_context(
-                self._effective_lat_sizes(sizes), self.noc,
-                engine=self.engine,
-            ),
+            context_builder=self._context,
             controller_config=controller_config,
             seed=seed,
             memoize_placement=Engine.accelerated(engine),
@@ -300,23 +342,6 @@ class SystemModel:
                 service_cv=profile.service_cv,
                 seed=seed * 1000 + i,
             )
-
-    def _effective_lat_sizes(
-        self, controller_sizes: Mapping[str, float]
-    ) -> Dict[str, float]:
-        """LC sizes the placer sees.
-
-        Feedback designs use the controller's targets; Static pins four
-        ways; Jigsaw passes nothing (it is goal-oblivious).
-        """
-        if self.design.uses_feedback:
-            return dict(controller_sizes)
-        if self.design.name == "Static":
-            four_ways_mb = (
-                self.config.llc_size_mb * 4 / self.config.llc_bank_ways
-            )
-            return {a: four_ways_mb for a in self.workload.lc_apps}
-        return {}
 
     # -- per-epoch evaluation ----------------------------------------------------------
 
@@ -448,11 +473,7 @@ class SystemModel:
         Ideal Batch design)."""
         record = self.runtime.reconfigure()
         if isinstance(self.design, JumanjiIdealBatchDesign):
-            ctx = self.workload.build_context(
-                self._effective_lat_sizes(self.runtime.lat_sizes()),
-                self.noc,
-                engine=self.engine,
-            )
+            ctx = self._context(self.runtime.lat_sizes())
             return record, self.design.allocate_batch(ctx)
         return record, record.allocation
 

@@ -7,7 +7,9 @@ class objects so they can be
 
 * fanned out over a ``multiprocessing`` pool (worker count from
   ``jobs=``, the ``REPRO_JOBS`` environment variable, or
-  ``os.cpu_count()``), and
+  ``os.cpu_count()``), in chunks: cells of a batchable kind that differ
+  only in the kind's chunk axes run as one handler call (see
+  :func:`register_cell_kind` and :func:`chunk_cells`), and
 * memoised in an on-disk, content-addressed cache: the key is the
   SHA-256 of the cell's canonicalised inputs plus a fingerprint of the
   package's source code, so re-running a figure only recomputes cells
@@ -24,12 +26,13 @@ cache entries converge to the same results as clean runs
 
 Failure handling (see :mod:`repro.errors` for the taxonomy):
 
-* worker crashes — the pool is respawned and in-flight cells are
+* worker crashes — the pool is respawned and in-flight chunks are
   re-dispatched; after ``RetryPolicy.max_pool_respawns`` unhealthy
   pools the runner degrades to serial in-process execution;
-* per-cell timeouts — cells exceeding ``RetryPolicy.timeout_seconds``
-  (or ``REPRO_CELL_TIMEOUT``) are retried with exponential backoff and
-  raise :class:`~repro.errors.CellTimeout` when retries are exhausted;
+* per-cell timeouts — a chunk exceeding ``RetryPolicy.timeout_seconds``
+  (or ``REPRO_CELL_TIMEOUT``) per cell has its cells retried one by
+  one with exponential backoff, each raising
+  :class:`~repro.errors.CellTimeout` when its retries are exhausted;
 * handler exceptions — bounded retries, then
   :class:`~repro.errors.CellFailed` carrying the worker traceback;
 * cache corruption — every entry is wrapped in a checksum envelope;
@@ -66,6 +69,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -73,6 +77,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from . import obs
@@ -93,7 +98,9 @@ __all__ = [
     "RetryPolicy",
     "SweepCheckpoint",
     "SweepRunner",
+    "CHUNK_CELLS",
     "cell_key",
+    "chunk_cells",
     "code_fingerprint",
     "default_cache_dir",
     "register_cell_kind",
@@ -406,16 +413,39 @@ class SweepCheckpoint:
 
 _CELL_KINDS: Dict[str, Callable[..., Any]] = {}
 
+#: Batchable kinds: kind -> the params in which a chunk's cells may
+#: differ (see :func:`register_cell_kind`).
+_CHUNK_AXES: Dict[str, FrozenSet[str]] = {}
+
+#: Most cells in one chunk. Each cell of a chunk holds its own model in
+#: the worker until the chunk finishes, so this bounds a worker's peak
+#: RSS: on the sweep-cold benchmark, workers running chunks of 6 peak
+#: where workers running single cells do (45.0 vs 45.3 MB), while
+#: chunks of 12 peak 10-11% higher (EXPERIMENTS.md, "How the sweeps
+#: run").
+CHUNK_CELLS = 6
+
 
 def register_cell_kind(
-    kind: str,
+    kind: str, chunk_over: Sequence[str] = ()
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Register a handler ``fn(**params) -> value`` for a cell kind."""
+    """Register a handler for a cell kind.
+
+    A plain handler is ``fn(**params) -> value``. A kind registered
+    with ``chunk_over`` (param names) is *batchable*: its handler is
+    ``fn(chunk) -> values``, taking the params of cells that differ
+    only in those names and returning their values in the same order.
+    The runner evaluates batchable cells in chunks of up to
+    :data:`CHUNK_CELLS` (see :func:`chunk_cells`); each cell keeps its
+    own cache entry.
+    """
 
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
         if kind in _CELL_KINDS and _CELL_KINDS[kind] is not fn:
             raise ValueError(f"cell kind {kind!r} already registered")
         _CELL_KINDS[kind] = fn
+        if chunk_over:
+            _CHUNK_AXES[kind] = frozenset(chunk_over)
         return fn
 
     return decorate
@@ -438,9 +468,56 @@ def _handler_for(kind: str) -> Callable[..., Any]:
         ) from None
 
 
-def compute_cell(cell: Cell) -> Any:
-    """Run a cell's handler inline (no cache, no pool)."""
-    return _handler_for(cell.kind)(**dict(cell.params))
+def compute_cell(cell: Union[Cell, Sequence[Cell]]) -> Any:
+    """Run a cell's handler inline (no cache, no pool).
+
+    Given a chunk (cells grouped by :func:`chunk_cells`) instead of one
+    cell, returns the list of their values from one handler call.
+    """
+    if isinstance(cell, Cell):
+        handler = _handler_for(cell.kind)
+        if cell.kind in _CHUNK_AXES:
+            return handler([dict(cell.params)])[0]
+        return handler(**dict(cell.params))
+    handler = _handler_for(cell[0].kind)
+    return handler([dict(c.params) for c in cell])
+
+
+def chunk_cells(
+    cells: Sequence[Cell], indices: Iterable[int]
+) -> List[Tuple[int, ...]]:
+    """Group ``cells[i]`` for ``i`` in ``indices`` into chunks.
+
+    Cells of a batchable kind that differ only in the kind's chunk axes
+    share chunks of at most :data:`CHUNK_CELLS`, split as evenly as the
+    count allows; every other cell is a chunk of one. Chunks come in
+    the order of their first cell.
+    """
+    groups: Dict[Tuple[str, str], List[int]] = {}
+    chunks: List[Tuple[int, ...]] = []
+    for i in indices:
+        cell = cells[i]
+        _handler_for(cell.kind)  # registers the kind's chunk axes
+        axes = _CHUNK_AXES.get(cell.kind)
+        if axes is None:
+            chunks.append((i,))
+            continue
+        shared = {k: v for k, v in cell.params.items() if k not in axes}
+        group = (
+            cell.kind,
+            json.dumps(_canonicalize(shared), sort_keys=True),
+        )
+        groups.setdefault(group, []).append(i)
+    for members in groups.values():
+        count = -(-len(members) // CHUNK_CELLS)
+        size, extra = divmod(len(members), count)
+        start = 0
+        for j in range(count):
+            end = start + size + (j < extra)
+            chunks.append(tuple(members[start:end]))
+            start = end
+    chunks.sort(key=lambda chunk: chunk[0])
+    return chunks
 
 
 #: Cache of the cell currently being evaluated (set by the worker), so
@@ -477,14 +554,6 @@ def get_or_compute(
 # --------------------------------------------------------------------------
 
 
-class _SimulatedCrash(Exception):
-    """Injected stand-in for a worker dying mid-cell."""
-
-
-class _InjectedCellError(Exception):
-    """Injected stand-in for a cell handler raising."""
-
-
 def _corrupt_entry(cache: ResultCache, key: str) -> None:
     """Flip payload bytes of a cache entry (fault-injection only)."""
     path = cache._path(key)
@@ -498,101 +567,121 @@ def _corrupt_entry(cache: ResultCache, key: str) -> None:
         path.write_bytes(bytes(blob))
 
 
-def _evaluate(
-    cell: Cell,
-    key: str,
+#: What evaluating one cell of a chunk came to: ``("ok", value,
+#: was_cached, duration)``, ``("crash", message)`` or ``("error",
+#: detail)``. Failures travel as markers, never as raises, so the
+#: runner applies its retry policy to each cell on its own.
+Outcome = Tuple[Any, ...]
+
+
+def _evaluate_chunk(
+    cells: Sequence[Cell],
+    keys: Sequence[str],
+    attempts: Sequence[int],
     cache: ResultCache,
     plan: Optional[FaultPlan],
-    attempt: int,
     in_worker: bool,
-) -> Tuple[Any, bool, float, int]:
-    """Evaluate one cell through the cache, injecting planned faults.
+) -> Tuple[List[Outcome], int]:
+    """Evaluate one chunk through the cache, injecting planned faults.
 
-    Returns ``(value, was_cached, duration, corrupt_quarantined)``.
-    Fault decisions hash ``(site, key, attempt)`` so they replay
-    identically under any scheduling — see :mod:`repro.faults`.
+    Returns each cell's :data:`Outcome` and the number of corrupt cache
+    entries quarantined on the way. Each cell rolls its own faults on
+    ``(site, key, attempt)``, so they replay identically under any
+    scheduling (see :mod:`repro.faults`), and a cell that fails leaves
+    its siblings to complete. The cells the cache misses are computed
+    in one :func:`compute_cell` call; each one's duration is an equal
+    share of that call's CPU time.
     """
     global _CURRENT_CACHE
-    if plan is not None and in_worker:
-        if plan.fires("hard_crash", key, attempt):
-            os._exit(13)  # a real abrupt death: no cleanup, no result
-        if plan.fires("cell_stall", key, attempt):
-            time.sleep(plan.stall_seconds)
-    if plan is not None and plan.fires("worker_crash", key, attempt):
-        raise _SimulatedCrash(f"injected crash for cell {key[:12]}")
     corrupt_before = cache.corrupt_detected
-    hit = cache.get(key)
-    if hit is not None:
-        return (
-            hit["value"],
-            True,
-            hit["duration"],
-            cache.corrupt_detected - corrupt_before,
-        )
-    if plan is not None and plan.fires("cell_error", key, attempt):
-        raise _InjectedCellError(f"injected error for cell {key[:12]}")
-    previous = _CURRENT_CACHE
-    _CURRENT_CACHE = cache
-    try:
-        # CPU time, not wall time: wall time inside a contended worker
-        # counts the other workers' time slices, which would inflate
-        # the serial estimate CellStats reports.
-        start = time.process_time()
-        value = compute_cell(cell)
-        duration = time.process_time() - start
-    finally:
-        _CURRENT_CACHE = previous
-    cache.put(key, value, duration)
-    if plan is not None and plan.fires("cache_corrupt", key, attempt):
-        # Corrupt the entry *after* the value is in hand: this run's
-        # results stay correct, and the next read exercises quarantine.
-        _corrupt_entry(cache, key)
-    return value, False, duration, cache.corrupt_detected - corrupt_before
+    if plan is not None and in_worker:
+        for key, attempt in zip(keys, attempts):
+            if plan.fires("hard_crash", key, attempt):
+                os._exit(13)  # a real abrupt death: no cleanup, no result
+            if plan.fires("cell_stall", key, attempt):
+                time.sleep(plan.stall_seconds)
+    outcomes: List[Outcome] = [()] * len(cells)
+    todo: List[int] = []
+    for j, (key, attempt) in enumerate(zip(keys, attempts)):
+        if plan is not None and plan.fires("worker_crash", key, attempt):
+            outcomes[j] = ("crash", f"injected crash for cell {key[:12]}")
+            continue
+        hit = cache.get(key)
+        if hit is not None:
+            outcomes[j] = ("ok", hit["value"], True, hit["duration"])
+        elif plan is not None and plan.fires("cell_error", key, attempt):
+            outcomes[j] = ("error", f"injected error for cell {key[:12]}")
+        else:
+            todo.append(j)
+    if todo:
+        missed = [cells[j] for j in todo]
+        previous = _CURRENT_CACHE
+        _CURRENT_CACHE = cache
+        try:
+            # CPU time, not wall time: wall time inside a contended
+            # worker counts the other workers' time slices, which would
+            # inflate the serial estimate CellStats reports.
+            start = time.process_time()
+            if len(missed) == 1:
+                values = [compute_cell(missed[0])]
+            else:
+                values = compute_cell(missed)
+            share = (time.process_time() - start) / len(missed)
+        except Exception:
+            detail = traceback.format_exc()
+            for j in todo:
+                outcomes[j] = ("error", detail)
+        else:
+            for j, value in zip(todo, values):
+                cache.put(keys[j], value, share)
+                if plan is not None and plan.fires(
+                    "cache_corrupt", keys[j], attempts[j]
+                ):
+                    # Corrupt the entry *after* the value is in hand:
+                    # this run's results stay correct, and the next
+                    # read exercises quarantine.
+                    _corrupt_entry(cache, keys[j])
+                outcomes[j] = ("ok", value, False, share)
+        finally:
+            _CURRENT_CACHE = previous
+    return outcomes, cache.corrupt_detected - corrupt_before
 
 
 def _worker(
-    task: Tuple[int, Cell, str, int, Optional[Dict[str, Any]], bool]
-) -> Tuple[int, int, Tuple[Any, ...]]:
-    """Evaluate one cell in a worker process.
+    task: Tuple[
+        List[Cell], List[str], List[int], str, Optional[Dict[str, Any]],
+        bool,
+    ]
+) -> Tuple[List[Outcome], int, Optional[List[Dict[str, Any]]]]:
+    """Evaluate one chunk in a worker process.
 
-    Returns ``(index, attempt, payload)`` where payload is one of
-    ``("ok", value, was_cached, duration, quarantined, events)``,
-    ``("crash", message)``, or ``("error", traceback_text,
-    quarantined)`` — failures travel as markers, never as raises, so
-    the parent can apply its retry policy deterministically. An error
-    carries its quarantine count too: the attempt may have moved a
-    corrupt entry aside before it failed.
-
-    ``events`` ships the worker's observability records (spans inside
-    the cell — placer stages, model epochs — plus emitted events) back
-    to the parent for one merged trace; it is ``None`` when the parent
-    had collection disabled at dispatch time.
+    Returns ``(outcomes, quarantined, events)``: each cell's
+    :data:`Outcome`, the corrupt entries quarantined (an attempt may
+    move one aside and then fail), and the worker's observability
+    records (spans inside the chunk — placer stages, model epochs —
+    plus emitted events) for one merged trace; ``events`` is ``None``
+    when the parent had collection disabled at dispatch time.
     """
-    index, cell, cache_dir, attempt, plan_params, obs_enabled = task
-    if obs_enabled:
+    cells, keys, attempts, cache_dir, plan_params, obs_on = task
+    if obs_on:
         # Fork copied the parent's collected records into this process;
-        # start clean so only this cell's records ship back.
+        # start clean so only this chunk's records ship back.
         obs.begin_worker_capture()
     plan = FaultPlan.from_params(plan_params)
     cache = ResultCache(cache_dir)
-    key = cell_key(cell)
     try:
         with obs.span(
-            "sweep.cell", kind=cell.kind, attempt=attempt, index=index
+            "sweep.cell", kind=cells[0].kind, cells=len(cells),
+            attempt=max(attempts),
         ):
-            value, was_cached, duration, quarantined = _evaluate(
-                cell, key, cache, plan, attempt, in_worker=True
+            outcomes, quarantined = _evaluate_chunk(
+                cells, keys, attempts, cache, plan, in_worker=True
             )
-    except _SimulatedCrash as exc:
-        return index, attempt, ("crash", str(exc))
     except Exception:
-        return index, attempt, (
-            "error", traceback.format_exc(), cache.corrupt_detected
-        )
-    events = obs.take_events() if obs_enabled else None
-    return index, attempt, (
-        "ok", value, was_cached, duration, quarantined, events
-    )
+        outcomes = [("error", traceback.format_exc())] * len(cells)
+        quarantined = cache.corrupt_detected
+    events = obs.take_events() if obs_on else None
+    return outcomes, quarantined, events
 
 
 # --------------------------------------------------------------------------
@@ -735,22 +824,29 @@ def collecting_stats() -> _StatsScope:
 class _CellState:
     """Book-keeping for one cell across attempts (parallel path)."""
 
-    __slots__ = ("index", "cell", "key", "attempt", "deadline")
+    __slots__ = ("cell", "key", "attempt")
 
-    def __init__(self, index: int, cell: Cell, key: str):
-        self.index = index
+    def __init__(self, cell: Cell, key: str):
         self.cell = cell
         self.key = key
         self.attempt = 0
-        self.deadline: Optional[float] = None
+
+
+#: The error a failed :data:`Outcome` raises once retries are spent.
+_FAILURES = {"crash": CellCrashed, "error": CellFailed}
 
 
 class SweepRunner:
     """Fans cells out over a process pool, through the result cache.
 
-    ``jobs=1`` (or a single cell) runs inline in the parent — the
-    serial path and the parallel path execute the exact same per-cell
-    code, which is what makes them bit-identical.
+    Cells go out in chunks (:func:`chunk_cells`): batchable cells that
+    differ only in their kind's chunk axes run as one handler call in
+    one pool task, and every other cell is a chunk of one. Each cell
+    keeps its own key, cache entry, fault rolls, retries and slot in
+    the results; a cell that fails is retried alone. ``jobs=1`` (or a
+    single chunk) runs inline in the parent — the serial path and the
+    parallel path execute the exact same per-chunk code, which is what
+    makes them bit-identical.
 
     ``policy`` governs retries/timeouts/pool respawns (default:
     :meth:`RetryPolicy.from_env`). ``checkpoint`` (or the
@@ -789,6 +885,55 @@ class SweepRunner:
     def _event(self, event: str, **fields: Any) -> None:
         self.events.append(obs.emit(event, logger=logger, **fields))
 
+    def _retry_or_raise(
+        self,
+        cell: Cell,
+        key: str,
+        attempt: int,
+        failure: type,
+        detail: str,
+        batch: CellStats,
+    ) -> None:
+        """Count failed attempt ``attempt`` of a cell; raise ``failure``
+        once the policy's retries are spent."""
+        batch.retries += 1
+        self._event(
+            "cell_retry",
+            key=key[:16],
+            kind=cell.kind,
+            attempt=attempt,
+            reason=failure.__name__,
+        )
+        if attempt > self.policy.retries:
+            raise failure(
+                f"cell {cell.kind!r} failed after {attempt} "
+                f"attempt(s): {detail}",
+                kind=cell.kind,
+                params=dict(cell.params),
+                key=key,
+                attempts=attempt,
+            )
+
+    def _finish(
+        self,
+        i: int,
+        outcome: Outcome,
+        keys: List[str],
+        results: List[Any],
+        batch: CellStats,
+    ) -> None:
+        """Store cell ``i``'s value and journal its completion."""
+        _tag, value, was_cached, duration = outcome
+        results[i] = value
+        if was_cached:
+            batch.cache_hits += 1
+        else:
+            batch.computed += 1
+        batch.serial_seconds += duration
+        self._completed(
+            keys[i], batch.cache_hits + batch.computed, len(results)
+        )
+
     def _completed(self, key: str, completed_so_far: int, total: int) -> None:
         """Journal one completion; honour the simulated-kill hook."""
         if self.checkpoint is not None:
@@ -816,7 +961,6 @@ class SweepRunner:
         results: List[Any] = [None] * len(cells)
         batch = CellStats(cells=len(cells))
         pending = list(range(len(cells)))
-        completed = 0
 
         # Resume: cells journaled as complete are served straight from
         # the cache without dispatching. A journaled key whose cache
@@ -832,7 +976,6 @@ class SweepRunner:
                     results[i] = hit["value"]
                     batch.cache_hits += 1
                     batch.serial_seconds += hit["duration"]
-                    completed += 1
                 else:
                     still_pending.append(i)
             pending = still_pending
@@ -842,15 +985,15 @@ class SweepRunner:
                 "sweep.map", cells=len(cells), jobs=self.jobs
             ):
                 if pending:
-                    if self.jobs == 1 or len(pending) == 1:
+                    chunks = chunk_cells(cells, pending)
+                    if self.jobs == 1 or len(chunks) == 1:
                         self._map_serial(
-                            cells, keys, pending, results, batch,
-                            completed, degraded=False,
+                            cells, keys, chunks, results, batch,
+                            degraded=False,
                         )
                     else:
                         self._map_parallel(
-                            cells, keys, pending, results, batch,
-                            completed,
+                            cells, keys, chunks, results, batch
                         )
         finally:
             batch.wall_seconds = time.perf_counter() - start
@@ -877,73 +1020,42 @@ class SweepRunner:
         self,
         cells: List[Cell],
         keys: List[str],
-        pending: List[int],
+        chunks: List[Tuple[int, ...]],
         results: List[Any],
         batch: CellStats,
-        completed: int,
         degraded: bool,
     ) -> None:
-        """Evaluate ``pending`` inline, with the same retry semantics."""
-        total = len(cells)
-        for i in pending:
-            value, was_cached, duration = self._run_inline(
-                cells[i], keys[i], batch
-            )
-            results[i] = value
-            if was_cached:
-                batch.cache_hits += 1
-            else:
-                batch.computed += 1
-            if degraded:
-                batch.degraded_cells += 1
-            batch.serial_seconds += duration
-            completed += 1
-            self._completed(keys[i], completed, total)
-
-    def _run_inline(
-        self, cell: Cell, key: str, batch: CellStats
-    ) -> Tuple[Any, bool, float]:
-        """One cell, in-process, applying the retry policy."""
-        attempt = 0
-        # Counted over every attempt: one that quarantined a corrupt
-        # entry and then failed still moved it aside.
-        corrupt_before = self.cache.corrupt_detected
-        while True:
-            try:
-                with obs.span(
-                    "sweep.cell", kind=cell.kind, attempt=attempt
-                ):
-                    value, was_cached, duration, _quarantined = _evaluate(
-                        cell, key, self.cache, self.fault_plan, attempt,
-                        in_worker=False,
-                    )
-                batch.quarantined += (
-                    self.cache.corrupt_detected - corrupt_before
+        """Evaluate ``chunks`` inline, with the same retry semantics: a
+        failed cell is retried alone, after its backoff."""
+        attempts = {i: 0 for chunk in chunks for i in chunk}
+        work = deque(chunks)
+        while work:
+            chunk = work.popleft()
+            tries = [attempts[i] for i in chunk]
+            with obs.span(
+                "sweep.cell", kind=cells[chunk[0]].kind, cells=len(chunk),
+                attempt=max(tries),
+            ):
+                outcomes, quarantined = _evaluate_chunk(
+                    [cells[i] for i in chunk], [keys[i] for i in chunk],
+                    tries, self.cache, self.fault_plan, in_worker=False,
                 )
-                return value, was_cached, duration
-            except _SimulatedCrash as exc:
-                failure: Tuple[type, str] = (CellCrashed, str(exc))
-            except Exception:
-                failure = (CellFailed, traceback.format_exc())
-            attempt += 1
-            batch.retries += 1
-            self._event(
-                "cell_retry",
-                key=key[:16],
-                kind=cell.kind,
-                attempt=attempt,
-                reason=failure[0].__name__,
-            )
-            if attempt > self.policy.retries:
-                raise failure[0](
-                    f"cell {cell.kind!r} failed after {attempt} "
-                    f"attempt(s): {failure[1]}",
-                    kind=cell.kind,
-                    params=dict(cell.params),
-                    key=key,
-                    attempts=attempt,
+            batch.quarantined += quarantined
+            retry = []
+            for i, outcome in zip(chunk, outcomes):
+                if outcome[0] == "ok":
+                    if degraded:
+                        batch.degraded_cells += 1
+                    self._finish(i, outcome, keys, results, batch)
+                    continue
+                attempts[i] += 1
+                self._retry_or_raise(
+                    cells[i], keys[i], attempts[i],
+                    _FAILURES[outcome[0]], outcome[1], batch,
                 )
-            time.sleep(self.policy.backoff_for(attempt))
+                time.sleep(self.policy.backoff_for(attempts[i]))
+                retry.append((i,))
+            work.extendleft(reversed(retry))
 
     # -- parallel path -------------------------------------------------------
 
@@ -954,13 +1066,11 @@ class SweepRunner:
         self,
         cells: List[Cell],
         keys: List[str],
-        pending: List[int],
+        chunks: List[Tuple[int, ...]],
         results: List[Any],
         batch: CellStats,
-        completed: int,
     ) -> None:
         policy = self.policy
-        total = len(cells)
         plan_params = (
             self.fault_plan.as_params() if self.fault_plan else None
         )
@@ -971,49 +1081,26 @@ class SweepRunner:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX
             ctx = multiprocessing.get_context()
-        processes = min(self.jobs, len(pending))
-        states = {i: _CellState(i, cells[i], keys[i]) for i in pending}
-        queue: deque = deque(pending)
+        processes = min(self.jobs, len(chunks))
+        states = {
+            i: _CellState(cells[i], keys[i]) for chunk in chunks for i in chunk
+        }
+        queue: deque = deque(chunks)
         backoff_heap: List[Tuple[float, int]] = []  # (ready_at, index)
-        inflight: Dict[int, Any] = {}  # index -> AsyncResult
+        #: chunk id -> (the chunk's cell indices, AsyncResult, deadline)
+        inflight: Dict[int, Tuple[Tuple[int, ...], Any, Optional[float]]] = {}
+        next_id = 0
         respawns = 0
 
-        def finish(i: int, value: Any, was_cached: bool, duration: float,
-                   quarantined: int) -> None:
-            nonlocal completed
-            results[i] = value
-            if was_cached:
-                batch.cache_hits += 1
-            else:
-                batch.computed += 1
-            batch.serial_seconds += duration
-            batch.quarantined += quarantined
-            states.pop(i, None)
-            completed += 1
-            self._completed(keys[i], completed, total)
-
         def fail_or_retry(
-            i: int, exc_type: type, detail: str, now: float
+            i: int, failure: type, detail: str, now: float
         ) -> None:
             state = states[i]
             state.attempt += 1
-            batch.retries += 1
-            self._event(
-                "cell_retry",
-                key=state.key[:16],
-                kind=state.cell.kind,
-                attempt=state.attempt,
-                reason=exc_type.__name__,
+            self._retry_or_raise(
+                state.cell, state.key, state.attempt, failure, detail,
+                batch,
             )
-            if state.attempt > policy.retries:
-                raise exc_type(
-                    f"cell {state.cell.kind!r} failed after "
-                    f"{state.attempt} attempt(s): {detail}",
-                    kind=state.cell.kind,
-                    params=dict(state.cell.params),
-                    key=state.key,
-                    attempts=state.attempt,
-                )
             heapq.heappush(
                 backoff_heap,
                 (now + policy.backoff_for(state.attempt), i),
@@ -1026,23 +1113,31 @@ class SweepRunner:
             while queue or inflight or backoff_heap:
                 now = time.monotonic()
                 while backoff_heap and backoff_heap[0][0] <= now:
-                    queue.append(heapq.heappop(backoff_heap)[1])
+                    # A retried cell runs alone.
+                    queue.append((heapq.heappop(backoff_heap)[1],))
                 # Dispatch everything runnable.
                 while queue:
-                    i = queue.popleft()
-                    state = states[i]
+                    chunk = queue.popleft()
                     task = (
-                        i, state.cell, cache_dir, state.attempt,
-                        plan_params, obs_on,
+                        [cells[i] for i in chunk],
+                        [keys[i] for i in chunk],
+                        [states[i].attempt for i in chunk],
+                        cache_dir,
+                        plan_params,
+                        obs_on,
                     )
-                    inflight[i] = pool.apply_async(_worker, (task,))
-                    state.deadline = (
-                        now + policy.timeout_seconds
+                    # A chunk's budget is the sum of its cells'.
+                    deadline = (
+                        now + policy.timeout_seconds * len(chunk)
                         if policy.timeout_seconds is not None
                         else None
                     )
+                    inflight[next_id] = (
+                        chunk, pool.apply_async(_worker, (task,)), deadline
+                    )
+                    next_id += 1
                 ready = [
-                    i for i, res in inflight.items() if res.ready()
+                    c for c, (_, res, _) in inflight.items() if res.ready()
                 ]
                 if not ready:
                     if not inflight:
@@ -1055,15 +1150,14 @@ class SweepRunner:
                         continue
                     now = time.monotonic()
                     timed_out = [
-                        i
-                        for i, res in inflight.items()
-                        if states[i].deadline is not None
-                        and now > states[i].deadline
+                        c
+                        for c, (_, _, deadline) in inflight.items()
+                        if deadline is not None and now > deadline
                     ]
                     if timed_out:
                         # A wedged (or vanished) worker still owns its
                         # pool slot: reclaim everything by respawning
-                        # the pool and re-dispatching in-flight cells.
+                        # the pool and re-dispatching in-flight chunks.
                         respawns += 1
                         batch.pool_respawns += 1
                         self._event(
@@ -1075,56 +1169,56 @@ class SweepRunner:
                         pool.terminate()
                         pool.join()
                         pool = None
-                        survivors = [
-                            i for i in inflight if i not in timed_out
-                        ]
-                        inflight.clear()
-                        for i in timed_out:
-                            fail_or_retry(
-                                i,
-                                CellTimeout,
-                                f"exceeded {policy.timeout_seconds}s",
-                                now,
-                            )
-                        # Innocent in-flight cells lost their worker:
-                        # re-dispatch at the same attempt (their fault
+                        lost = [inflight.pop(c)[0] for c in timed_out]
+                        # Innocent in-flight chunks lost their worker:
+                        # re-dispatch at the same attempts (their fault
                         # decisions replay identically).
-                        queue.extend(survivors)
+                        queue.extend(c for c, _, _ in inflight.values())
+                        inflight.clear()
+                        # A timed-out chunk retries its cells one by one.
+                        for chunk in lost:
+                            for i in chunk:
+                                fail_or_retry(
+                                    i,
+                                    CellTimeout,
+                                    f"exceeded {policy.timeout_seconds}s",
+                                    now,
+                                )
                         if respawns > policy.max_pool_respawns:
                             self._event(
                                 "degraded_serial",
                                 respawns=respawns,
                                 remaining=len(states),
                             )
-                            remaining = sorted(states)
                             self._map_serial(
-                                cells, keys, remaining, results,
-                                batch, completed, degraded=True,
+                                cells, keys,
+                                chunk_cells(cells, sorted(states)),
+                                results, batch, degraded=True,
                             )
                             return
                         pool = self._spawn_pool(ctx, processes)
                         continue
                     time.sleep(policy.poll_interval)
                     continue
-                for i in ready:
-                    res = inflight.pop(i)
+                for c in ready:
+                    chunk, res, _ = inflight.pop(c)
                     try:
-                        _index, _attempt, payload = res.get()
+                        outcomes, quarantined, events = res.get()
                     except Exception as exc:  # unpicklable return etc.
-                        payload = ("crash", repr(exc))
+                        outcomes = [("crash", repr(exc))] * len(chunk)
+                        quarantined, events = 0, None
+                    if events:
+                        obs.absorb_events(events)
+                    batch.quarantined += quarantined
                     now = time.monotonic()
-                    tag = payload[0]
-                    if tag == "ok":
-                        (_tag, value, was_cached, duration, quar,
-                         events) = payload
-                        if events:
-                            obs.absorb_events(events)
-                        finish(i, value, was_cached, duration, quar)
-                    elif tag == "crash":
-                        fail_or_retry(i, CellCrashed, payload[1], now)
-                    else:
-                        batch.quarantined += payload[2]
-                        fail_or_retry(i, CellFailed, payload[1], now)
+                    for i, outcome in zip(chunk, outcomes):
+                        if outcome[0] == "ok":
+                            states.pop(i)
+                            self._finish(i, outcome, keys, results, batch)
+                        else:
+                            fail_or_retry(
+                                i, _FAILURES[outcome[0]], outcome[1], now
+                            )
         finally:
             if pool is not None:
                 pool.terminate()

@@ -121,11 +121,15 @@ class _Session:
         initial_lc_mb = (
             self.config.llc_size_mb * ControllerConfig().panic_fraction
         )
+        # The builder closes over the workload and mesh, not the
+        # session: a closure over ``self`` would make session and
+        # runtime a reference cycle, left for the cycle collector.
+        workload, noc = self.workload, self.noc
         self.runtime = JumanjiRuntime(
             self.design,
             self.config,
-            context_builder=lambda sizes: self.workload.build_context(
-                dict(sizes), self.noc
+            context_builder=lambda sizes: workload.build_context(
+                dict(sizes), noc
             ),
             controller_config=ControllerConfig(
                 history_limit=SESSION_HISTORY_LIMIT

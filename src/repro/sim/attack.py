@@ -434,9 +434,9 @@ def run_leakage_experiment(
     The spread of ``victim_miss_rate`` across mixes is the leakage signal
     of the paper's Fig. 12.
 
-    ``jobs=None`` runs the mixes serially in-process. Any other value
-    shards the (independent) mixes over the sweep runner's process pool
-    and result cache; results are identical either way.
+    The (independent) mixes run as cells through the sweep runner
+    (``jobs`` workers, as resolved by :func:`repro.runner.resolve_jobs`)
+    and its result cache; results do not depend on ``jobs``.
     """
     if num_mixes < 1:
         raise ValueError("need at least one mix")
@@ -448,15 +448,9 @@ def run_leakage_experiment(
         "shared_bank": shared_bank,
         "seed": seed,
     }
-    if jobs is None:
-        rows = [
-            _leakage_mix_cell(mix=mix, **params)
-            for mix in range(num_mixes)
-        ]
-    else:
-        cells = [
-            Cell("leakage_mix", {"mix": mix, **params})
-            for mix in range(num_mixes)
-        ]
-        rows = SweepRunner(jobs=jobs).map(cells)
+    cells = [
+        Cell("leakage_mix", {"mix": mix, **params})
+        for mix in range(num_mixes)
+    ]
+    rows = SweepRunner(jobs=jobs).map(cells)
     return [LeakageResult(**row) for row in rows]

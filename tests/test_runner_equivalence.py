@@ -163,9 +163,20 @@ class TestShardedSimCells:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
     def test_leakage_mixes_shard_identically(self):
-        from repro.sim.attack import run_leakage_experiment
+        from repro.sim.attack import (
+            LeakageResult,
+            _leakage_mix_cell,
+            run_leakage_experiment,
+        )
 
-        serial = run_leakage_experiment(num_mixes=3, accesses=1500)
+        # The in-process loop the sweep replaces, one mix at a time.
+        serial = [
+            LeakageResult(**_leakage_mix_cell(
+                mix=mix, accesses=1500, victim_ways=4, num_ways=16,
+                num_sets=256, shared_bank=True, seed=7,
+            ))
+            for mix in range(3)
+        ]
         sharded = run_leakage_experiment(
             num_mixes=3, accesses=1500, jobs=2
         )
