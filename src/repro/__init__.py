@@ -34,7 +34,6 @@ from .config import (
 )
 from .errors import (
     AllocationInvalid,
-    CacheCorrupt,
     CellCrashed,
     CellError,
     CellFailed,
@@ -43,7 +42,6 @@ from .errors import (
     PayloadTooLarge,
     PlacementFailed,
     ReproError,
-    SweepAborted,
     TelemetryInvalid,
     UnknownSession,
 )
@@ -108,8 +106,6 @@ __all__ = [
     "CellTimeout",
     "CellCrashed",
     "CellFailed",
-    "SweepAborted",
-    "CacheCorrupt",
     "TelemetryInvalid",
     "AllocationInvalid",
     "PlacementFailed",

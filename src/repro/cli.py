@@ -173,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     frun.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="crash-safe per-epoch journal; a killed run resumes "
-        "from it byte-identically (default: "
-        "REPRO_FLEET_CHECKPOINT)",
+        "from it byte-identically",
     )
     frun.add_argument(
         "--stats-out", default=None, metavar="PATH",
@@ -387,9 +386,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     unordered iteration — so two same-seed invocations are
     byte-identical (the acceptance gate). Exits non-zero if any fleet
     invariant (conservation/capacity/isolation) broke during the run.
-    With ``--checkpoint`` (or ``REPRO_FLEET_CHECKPOINT``) each epoch
-    is journalled as it completes, and a killed run resumes from the
-    journal with byte-identical output.
+    With ``--checkpoint`` each epoch is journalled as it completes, and
+    a killed run resumes from the journal with byte-identical output.
     """
     import pathlib
 
@@ -422,9 +420,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         pending_limit=args.pending_limit,
         fault_plan=plan,
     )
-    checkpoint = args.checkpoint or Settings.from_env().fleet_checkpoint
     result = run_fleet(
-        scenario, design=args.design, checkpoint=checkpoint
+        scenario, design=args.design, checkpoint=args.checkpoint
     )
     stats = result.to_json()
     print(stats)

@@ -297,17 +297,12 @@ class Settings:
     jobs: Optional[int] = None
     #: ``REPRO_CELL_TIMEOUT`` — per-cell wall-clock budget in seconds.
     cell_timeout: Optional[float] = None
-    #: ``REPRO_CHECKPOINT`` — sweep checkpoint journal path.
-    checkpoint: Optional[str] = None
     #: ``REPRO_CACHE_DIR`` — result-cache directory.
     cache_dir: Optional[str] = None
     #: ``REPRO_TRACE`` — default ``--trace-out`` path.
     trace: Optional[str] = None
     #: ``REPRO_METRICS`` — default ``--metrics-out`` path.
     metrics: Optional[str] = None
-    #: ``REPRO_FLEET_CHECKPOINT`` — default ``repro fleet run
-    #: --checkpoint`` journal path (crash-safe resume).
-    fleet_checkpoint: Optional[str] = None
     #: ``REPRO_SERVE_HOST`` — default bind address for ``repro serve``.
     serve_host: Optional[str] = None
     #: ``REPRO_SERVE_PORT`` — default port for ``repro serve`` (0 asks
@@ -352,11 +347,9 @@ class Settings:
             seed=seed,
             jobs=_positive_int(env, "REPRO_JOBS"),
             cell_timeout=timeout,
-            checkpoint=_clean(env, "REPRO_CHECKPOINT"),
             cache_dir=_clean(env, "REPRO_CACHE_DIR"),
             trace=_clean(env, "REPRO_TRACE"),
             metrics=_clean(env, "REPRO_METRICS"),
-            fleet_checkpoint=_clean(env, "REPRO_FLEET_CHECKPOINT"),
             serve_host=_clean(env, "REPRO_SERVE_HOST"),
             serve_port=_nonneg_int(env, "REPRO_SERVE_PORT"),
             serve_max_body=_positive_int(env, "REPRO_SERVE_MAX_BODY"),

@@ -5,11 +5,11 @@ input, not a crash: a wedged worker, a truncated cache file, or a NaN
 latency sample must degrade service predictably instead of aborting a
 whole sweep with a raw traceback. This module gives every layer of the
 reproduction one vocabulary for those events: typed exceptions
-(:class:`CellTimeout`, :class:`CacheCorrupt`, :class:`TelemetryInvalid`,
-...) so callers can catch precisely the failures they know how to
-absorb. Structured degraded-mode events are reported through
-:func:`repro.obs.emit` (the ``errors.log_event`` shim that used to live
-here was removed after its deprecation cycle).
+(:class:`CellTimeout`, :class:`TelemetryInvalid`, ...) so callers can
+catch precisely the failures they know how to absorb. Structured
+degraded-mode events are reported through :func:`repro.obs.emit` (the
+``errors.log_event`` shim that used to live here was removed after its
+deprecation cycle).
 
 The serving layer (:mod:`repro.serve`) maps this taxonomy onto HTTP
 status codes — :class:`ConfigError`/:class:`TelemetryInvalid` -> 400,
@@ -32,8 +32,6 @@ __all__ = [
     "CellTimeout",
     "CellCrashed",
     "CellFailed",
-    "SweepAborted",
-    "CacheCorrupt",
     "TelemetryInvalid",
     "AllocationInvalid",
     "LlcFull",
@@ -88,28 +86,6 @@ class CellCrashed(CellError):
 
 class CellFailed(CellError):
     """A cell's handler raised; retries (if any) were exhausted."""
-
-
-class SweepAborted(ReproError):
-    """A sweep was interrupted mid-run (checkpoint holds progress)."""
-
-    def __init__(self, message: str, completed: int = 0, total: int = 0):
-        super().__init__(message)
-        self.completed = completed
-        self.total = total
-
-
-class CacheCorrupt(ReproError):
-    """A result-cache entry failed its checksum or failed to unpickle.
-
-    Never propagated out of :class:`repro.runner.ResultCache` — the
-    entry is quarantined and the cell recomputed — but exposed so tests
-    and tooling can name the condition.
-    """
-
-    def __init__(self, message: str, path: Optional[str] = None):
-        super().__init__(message)
-        self.path = path
 
 
 class TelemetryInvalid(ReproError, ValueError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import QPS_TABLE, SystemConfig
@@ -44,8 +44,6 @@ __all__ = [
     "ARTIFACTS",
     "Artifact",
     "Claim",
-    "ReportStatus",
-    "collect",
     "header",
     "reproduce",
     "run_artifacts",
@@ -418,56 +416,20 @@ def reproduce(
     )
     for stem, (text, _claims) in produced.items():
         (out / f"{stem}.txt").write_text(text)
-    claims = {stem: c for stem, (_text, c) in produced.items()}
-    write_summary(out, claims=claims)
-    return claims
-
-
-@dataclass
-class ReportStatus:
-    """Which artifacts have reports, and their contents."""
-
-    results_dir: pathlib.Path
-    present: Dict[str, str] = field(default_factory=dict)
-    missing: List[str] = field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        """True when every paper figure/table has been regenerated."""
-        return all(a.stem in self.present for a in ARTIFACTS
-                   if a.stem.startswith(("fig", "table")))
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of all artifacts with reports."""
-        return len(self.present) / len(ARTIFACTS)
-
-
-def collect(results_dir) -> ReportStatus:
-    """Scan a ``results/`` directory for artifact reports."""
-    results_dir = pathlib.Path(results_dir)
-    status = ReportStatus(results_dir=results_dir)
-    for a in ARTIFACTS:
-        path = results_dir / f"{a.stem}.txt"
-        if path.is_file():
-            status.present[a.stem] = path.read_text()
-        else:
-            status.missing.append(a.stem)
-    return status
+    write_summary(out, produced)
+    return {stem: claims for stem, (_text, claims) in produced.items()}
 
 
 def write_summary(
-    results_dir,
-    output: Optional[pathlib.Path] = None,
-    claims: Optional[Dict[str, List[Claim]]] = None,
+    out: pathlib.Path, produced: Dict[str, Tuple[str, List[Claim]]]
 ) -> str:
-    """Assemble the summary document and write it to disk.
+    """Write ``<out>/SUMMARY.md`` and return its text.
 
-    Returns the summary text. ``output`` defaults to
-    ``<results_dir>/SUMMARY.md``; ``claims`` (stem -> claims) adds the
-    claims table.
+    ``produced`` maps stem -> (artifact text, claims), in
+    :data:`ARTIFACTS` order, as :func:`run_artifacts` returns it: the
+    claims table comes first, then every artifact's body.
     """
-    status = collect(results_dir)
+    every = [c for _text, claims in produced.values() for c in claims]
     lines = [
         "# Reproduction report",
         "",
@@ -475,43 +437,24 @@ def write_summary(
         "'Jumanji: The Case for Dynamic NUCA in the Datacenter' "
         "(MICRO 2020).",
         "",
-        f"Coverage: {len(status.present)}/{len(ARTIFACTS)} artifacts "
-        f"({status.coverage:.0%}); paper figures/tables "
-        f"{'complete' if status.complete else 'INCOMPLETE'}.",
+        "## Claims",
         "",
-        "## Checklist",
+        f"{sum(c.ok for c in every)}/{len(every)} claims hold.",
         "",
+        "| artifact | claim | value | result |",
+        "|---|---|---|---|",
     ]
-    for a in ARTIFACTS:
-        mark = "x" if a.stem in status.present else " "
-        lines.append(f"- [{mark}] {a.title}")
+    for stem, (_text, claims) in produced.items():
+        for c in claims:
+            lines.append(
+                f"| {stem} | {c.name} | {c.value} | "
+                f"{'pass' if c.ok else 'FAIL'} |"
+            )
     lines.append("")
-    if claims:
-        every = [c for stem in claims for c in claims[stem]]
-        lines += [
-            "## Claims",
-            "",
-            f"{sum(c.ok for c in every)}/{len(every)} claims hold.",
-            "",
-            "| artifact | claim | value | result |",
-            "|---|---|---|---|",
-        ]
-        for stem, rows in claims.items():
-            for c in rows:
-                lines.append(
-                    f"| {stem} | {c.name} | {c.value} | "
-                    f"{'pass' if c.ok else 'FAIL'} |"
-                )
-        lines.append("")
-    for a in ARTIFACTS:
-        if a.stem in status.present:
-            body = status.present[a.stem].rstrip("\n")
-            lines += [f"## {a.title}", "", "```text", body, "```", ""]
+    for stem, (text, _claims) in produced.items():
+        title = _BY_STEM[stem].title
+        body = text.rstrip("\n")
+        lines += [f"## {title}", "", "```text", body, "```", ""]
     text = "\n".join(lines)
-    out_path = (
-        pathlib.Path(output)
-        if output is not None
-        else pathlib.Path(results_dir) / "SUMMARY.md"
-    )
-    out_path.write_text(text)
+    (out / "SUMMARY.md").write_text(text)
     return text

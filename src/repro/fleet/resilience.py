@@ -13,11 +13,10 @@ into its hierarchical loop:
   arrival that does not fit waits in a bounded FIFO with per-tenant
   patience; expiry and overflow become auditable ``fleet.rejections``
   rather than vanished tenants;
-* :class:`FleetJournal` — a JSON-canonical per-epoch journal (modeled
-  on :class:`~repro.runner.SweepCheckpoint`) making ``repro fleet run
-  --checkpoint`` crash-safe. Appends are flushed and fsynced, so a
-  SIGKILL loses at most the in-flight line; :meth:`FleetJournal.load`
-  tolerates a truncated tail by dropping it.
+* :class:`FleetJournal` — a JSON-canonical per-epoch journal making
+  ``repro fleet run --checkpoint`` crash-safe. Appends are flushed and
+  fsynced, so a SIGKILL loses at most the in-flight line;
+  :meth:`FleetJournal.load` tolerates a truncated tail by dropping it.
 
 The journal deliberately records *observables* (per-epoch stats,
 cumulative counters, violations), not simulator state: fleet runs are

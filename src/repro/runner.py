@@ -38,10 +38,9 @@ Failure handling (see :mod:`repro.errors` for the taxonomy):
 * cache corruption — every entry is wrapped in a checksum envelope;
   entries failing verification are quarantined (renamed
   ``*.pkl.corrupt``) and recomputed instead of crashing the sweep;
-* checkpoint/resume — with a :class:`SweepCheckpoint` (or
-  ``REPRO_CHECKPOINT``), completed cell keys are journaled so a killed
-  sweep resumes from where it stopped, recomputing only unfinished
-  cells.
+* resume — the result cache is the runner's only durable state: every
+  cell is looked up there before it is computed, so a killed sweep
+  resumes by running it again, recomputing only unfinished cells.
 
 Cache layout: ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-sweeps``),
 one pickle per cell at ``<key[:2]>/<key>.pkl``. The cache is safe to
@@ -75,7 +74,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -87,7 +85,6 @@ from .errors import (
     CellFailed,
     CellTimeout,
     ConfigError,
-    SweepAborted,
 )
 from .faults import FaultPlan
 
@@ -96,7 +93,6 @@ __all__ = [
     "CellStats",
     "ResultCache",
     "RetryPolicy",
-    "SweepCheckpoint",
     "SweepRunner",
     "CHUNK_CELLS",
     "cell_key",
@@ -348,62 +344,6 @@ class ResultCache:
         if not self.directory.is_dir():
             return []
         return sorted(self.directory.rglob("*.pkl.corrupt"))
-
-
-# --------------------------------------------------------------------------
-# Sweep checkpoints (crash-safe resume manifests)
-# --------------------------------------------------------------------------
-
-
-class SweepCheckpoint:
-    """Append-only journal of completed cell keys.
-
-    One JSON line per completed cell. Appends are flushed and fsynced so
-    a SIGKILL loses at most the in-flight line; :meth:`load` tolerates a
-    truncated final line (and any other garbage) by skipping it. The
-    checkpoint is a *manifest*, not a value store — values come from the
-    result cache, so a key listed here whose cache entry is missing or
-    corrupt is simply recomputed.
-    """
-
-    def __init__(self, path: os.PathLike):
-        self.path = pathlib.Path(path)
-
-    def load(self) -> Set[str]:
-        """Keys of cells recorded as completed (garbage lines skipped)."""
-        keys: Set[str] = set()
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return keys
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                key = record["key"]
-            except (ValueError, TypeError, KeyError):
-                continue  # truncated/corrupt line: ignore, recompute
-            if isinstance(key, str):
-                keys.add(key)
-        return keys
-
-    def record(self, key: str) -> None:
-        """Durably append one completed cell key."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps({"key": key}) + "\n"
-        with open(self.path, "a") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def clear(self) -> None:
-        """Forget all recorded progress."""
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
 
 
 # --------------------------------------------------------------------------
@@ -849,12 +789,9 @@ class SweepRunner:
     makes them bit-identical.
 
     ``policy`` governs retries/timeouts/pool respawns (default:
-    :meth:`RetryPolicy.from_env`). ``checkpoint`` (or the
-    ``REPRO_CHECKPOINT`` env var) journals completed cells for resume.
-    ``fault_plan`` injects deterministic faults — used by the chaos
-    tests and ``repro bench --suite faults``; leave ``None`` for
-    production runs. ``abort_after`` simulates a mid-sweep kill after
-    that many completions (testing hook for checkpoint/resume).
+    :meth:`RetryPolicy.from_env`). ``fault_plan`` injects deterministic
+    faults — used by the chaos tests and ``repro bench --suite faults``;
+    leave ``None`` for production runs.
     """
 
     def __init__(
@@ -862,20 +799,12 @@ class SweepRunner:
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         policy: Optional[RetryPolicy] = None,
-        checkpoint: Optional[SweepCheckpoint] = None,
         fault_plan: Optional[FaultPlan] = None,
-        abort_after: Optional[int] = None,
     ):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache if cache is not None else ResultCache()
         self.policy = policy if policy is not None else RetryPolicy.from_env()
-        if checkpoint is None:
-            env = Settings.from_env().checkpoint
-            if env:
-                checkpoint = SweepCheckpoint(env)
-        self.checkpoint = checkpoint
         self.fault_plan = fault_plan
-        self.abort_after = abort_after
         self.stats = CellStats()
         #: Structured degraded-mode events observed by this runner.
         self.events: List[Dict[str, Any]] = []
@@ -915,14 +844,9 @@ class SweepRunner:
             )
 
     def _finish(
-        self,
-        i: int,
-        outcome: Outcome,
-        keys: List[str],
-        results: List[Any],
-        batch: CellStats,
+        self, i: int, outcome: Outcome, results: List[Any], batch: CellStats
     ) -> None:
-        """Store cell ``i``'s value and journal its completion."""
+        """Store cell ``i``'s value and count it."""
         _tag, value, was_cached, duration = outcome
         results[i] = value
         if was_cached:
@@ -930,24 +854,6 @@ class SweepRunner:
         else:
             batch.computed += 1
         batch.serial_seconds += duration
-        self._completed(
-            keys[i], batch.cache_hits + batch.computed, len(results)
-        )
-
-    def _completed(self, key: str, completed_so_far: int, total: int) -> None:
-        """Journal one completion; honour the simulated-kill hook."""
-        if self.checkpoint is not None:
-            self.checkpoint.record(key)
-        if (
-            self.abort_after is not None
-            and completed_so_far >= self.abort_after
-        ):
-            raise SweepAborted(
-                f"sweep aborted after {completed_so_far}/{total} cells "
-                "(simulated kill)",
-                completed=completed_so_far,
-                total=total,
-            )
 
     # -- public API ----------------------------------------------------------
 
@@ -960,41 +866,17 @@ class SweepRunner:
         keys = [cell_key(cell) for cell in cells]
         results: List[Any] = [None] * len(cells)
         batch = CellStats(cells=len(cells))
-        pending = list(range(len(cells)))
-
-        # Resume: cells journaled as complete are served straight from
-        # the cache without dispatching. A journaled key whose cache
-        # entry is gone (or corrupt) falls through and recomputes.
-        if self.checkpoint is not None:
-            finished_keys = self.checkpoint.load()
-            still_pending = []
-            for i in pending:
-                hit = None
-                if keys[i] in finished_keys:
-                    hit = self.cache.get(keys[i])
-                if hit is not None:
-                    results[i] = hit["value"]
-                    batch.cache_hits += 1
-                    batch.serial_seconds += hit["duration"]
-                else:
-                    still_pending.append(i)
-            pending = still_pending
-
         try:
             with obs.span(
                 "sweep.map", cells=len(cells), jobs=self.jobs
             ):
-                if pending:
-                    chunks = chunk_cells(cells, pending)
-                    if self.jobs == 1 or len(chunks) == 1:
-                        self._map_serial(
-                            cells, keys, chunks, results, batch,
-                            degraded=False,
-                        )
-                    else:
-                        self._map_parallel(
-                            cells, keys, chunks, results, batch
-                        )
+                chunks = chunk_cells(cells, range(len(cells)))
+                if self.jobs == 1 or len(chunks) == 1:
+                    self._map_serial(
+                        cells, keys, chunks, results, batch, degraded=False
+                    )
+                else:
+                    self._map_parallel(cells, keys, chunks, results, batch)
         finally:
             batch.wall_seconds = time.perf_counter() - start
             self.stats.absorb(batch)
@@ -1046,7 +928,7 @@ class SweepRunner:
                 if outcome[0] == "ok":
                     if degraded:
                         batch.degraded_cells += 1
-                    self._finish(i, outcome, keys, results, batch)
+                    self._finish(i, outcome, results, batch)
                     continue
                 attempts[i] += 1
                 self._retry_or_raise(
@@ -1214,7 +1096,7 @@ class SweepRunner:
                     for i, outcome in zip(chunk, outcomes):
                         if outcome[0] == "ok":
                             states.pop(i)
-                            self._finish(i, outcome, keys, results, batch)
+                            self._finish(i, outcome, results, batch)
                         else:
                             fail_or_retry(
                                 i, _FAILURES[outcome[0]], outcome[1], now

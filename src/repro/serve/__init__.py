@@ -6,7 +6,7 @@ long-lived daemon instead of a batch run. A stdlib
 :class:`~repro.core.runtime.JumanjiRuntime` sessions; tenants POST
 epoch telemetry and receive the placement decision (allocation plus
 the :class:`~repro.core.runtime.ReconfigRecord` fields), query live
-:mod:`repro.obs` metrics, and start/checkpoint/resume figure sweeps.
+:mod:`repro.obs` metrics, and start figure sweeps.
 
 The API surface is schema-driven: the frozen JSON-canonical
 dataclasses in :mod:`repro.serve.schema` are shared verbatim by the

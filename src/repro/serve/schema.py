@@ -348,10 +348,9 @@ class SweepRequest(_Message):
 
     Runs :func:`repro.experiments.common.run_sweep` over the given
     designs/workloads/loads grid through a
-    :class:`~repro.runner.SweepRunner`. ``checkpoint`` names a journal
-    path on the daemon's filesystem: completed cells are journalled as
-    they finish, and re-POSTing the same request with the same
-    ``checkpoint`` resumes instead of recomputing.
+    :class:`~repro.runner.SweepRunner` on the daemon's result cache,
+    so re-POSTing the same request serves its finished cells from the
+    cache instead of recomputing them.
     """
 
     designs: Tuple[str, ...] = ("Jumanji",)
@@ -360,7 +359,6 @@ class SweepRequest(_Message):
     mixes: int = 1
     epochs: int = 2
     jobs: Optional[int] = None
-    checkpoint: Optional[str] = None
 
     _CONVERT = {
         "designs": _str_tuple,

@@ -18,8 +18,8 @@ both lean on this.
 
 Sweeps reuse the batch harness: ``start_sweep`` runs
 :func:`repro.experiments.common.run_sweep` on a daemon thread through a
-:class:`~repro.runner.SweepRunner`, journalling into the request's
-``checkpoint`` path so a re-POSTed sweep resumes from completed cells.
+:class:`~repro.runner.SweepRunner` on the daemon's result cache, so a
+re-POSTed sweep serves its finished cells from the cache.
 """
 
 from __future__ import annotations
@@ -220,18 +220,11 @@ class _Sweep:
 
     def run(self) -> None:
         from ..experiments.common import run_sweep
-        from ..runner import SweepCheckpoint, SweepRunner
+        from ..runner import SweepRunner
 
         req = self.request
         try:
-            checkpoint = (
-                SweepCheckpoint(req.checkpoint)
-                if req.checkpoint
-                else None
-            )
-            runner = SweepRunner(
-                jobs=req.jobs, checkpoint=checkpoint
-            )
+            runner = SweepRunner(jobs=req.jobs)
             result = run_sweep(
                 designs=req.designs,
                 lc_workloads=req.lc_workloads,

@@ -1,15 +1,21 @@
 """Fault-tolerant runner tests: retries, crash recovery, corrupt-cache
-quarantine, checkpoint/resume, and the chaos differential.
+quarantine, resume from the cache, and the chaos differential.
 
 The guiding invariant: fault recovery may change *cost* (retries, pool
 respawns, wall time) but never *results* — a sweep that suffered
 injected crashes, timeouts, and corrupt cache entries must be
 bit-identical to a clean run. Slow fault-matrix cases (worker stalls,
-hard ``os._exit`` deaths, degraded-serial fallback) carry the ``chaos``
-marker and run via ``pytest -m chaos`` / ``make check-faults``.
+hard ``os._exit`` deaths, degraded-serial fallback, a ``kill -9`` of a
+real ``repro figure``) carry the ``chaos`` marker and run via
+``pytest -m chaos`` / ``make check-faults``.
 """
 
-import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -18,14 +24,12 @@ from repro.errors import (
     CellFailed,
     CellTimeout,
     ConfigError,
-    SweepAborted,
 )
 from repro.faults import FaultPlan
 from repro.runner import (
     Cell,
     ResultCache,
     RetryPolicy,
-    SweepCheckpoint,
     SweepRunner,
     cell_key,
     register_cell_kind,
@@ -36,6 +40,9 @@ from repro.runner import (
 @register_cell_kind("probe_square")
 def _probe_square(x):
     return {"x": x, "sq": x * x}
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def _cells(n=6):
@@ -256,60 +263,24 @@ class TestRetries:
             runner.map(_cells(3))
 
 
-class TestCheckpointResume:
-    def test_journal_tolerates_garbage_lines(self, tmp_path):
-        ckpt = SweepCheckpoint(tmp_path / "sweep.ckpt")
-        ckpt.record("aaa")
-        ckpt.record("bbb")
-        with open(ckpt.path, "a") as fh:
-            fh.write("this is not json\n")
-            fh.write(json.dumps({"wrong": "shape"}) + "\n")
-            fh.write('{"key": "ccc"')  # truncated by a kill
-        assert ckpt.load() == {"aaa", "bbb"}
-
-    def test_clear(self, tmp_path):
-        ckpt = SweepCheckpoint(tmp_path / "sweep.ckpt")
-        ckpt.record("aaa")
-        ckpt.clear()
-        assert ckpt.load() == set()
-        ckpt.clear()  # idempotent when missing
-
-    def test_killed_sweep_resumes_from_checkpoint(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        ckpt = SweepCheckpoint(tmp_path / "sweep.ckpt")
-        killed = SweepRunner(
-            jobs=1, cache=cache, checkpoint=ckpt, abort_after=2
+class TestCacheResume:
+    def test_rerun_recomputes_only_unfinished_and_rotted_cells(
+        self, tmp_path
+    ):
+        """The cache is the runner's only durable state: a sweep killed
+        after a prefix of its cells resumes by running it again, and a
+        finished cell whose entry rotted is recomputed, not trusted."""
+        cache = ResultCache(tmp_path)
+        assert SweepRunner(jobs=1, cache=cache).map(_cells()[:3]) == (
+            _expected()[:3]
         )
-        with pytest.raises(SweepAborted) as info:
-            killed.map(_cells())
-        assert info.value.completed == 2
-        assert len(ckpt.load()) == 2
+        cache._path(cell_key(_cells()[1])).write_bytes(b"rotted")
 
-        resumed = SweepRunner(jobs=1, cache=cache, checkpoint=ckpt)
+        resumed = SweepRunner(jobs=1, cache=cache)
         assert resumed.map(_cells()) == _expected()
-        # Only the unfinished cells were recomputed.
+        assert resumed.stats.computed == 3 + 1
         assert resumed.stats.cache_hits == 2
-        assert resumed.stats.computed == 4
-
-    def test_resume_recomputes_corrupt_checkpointed_cell(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        ckpt = SweepCheckpoint(tmp_path / "sweep.ckpt")
-        SweepRunner(jobs=1, cache=cache, checkpoint=ckpt).map(_cells())
-        # A journaled cell whose cache entry rotted must recompute.
-        key = cell_key(_cells()[3])
-        cache._path(key).write_bytes(b"rotted")
-        resumed = SweepRunner(jobs=1, cache=cache, checkpoint=ckpt)
-        assert resumed.map(_cells()) == _expected()
-        assert resumed.stats.computed == 1
-        assert resumed.stats.cache_hits == 5
-
-    def test_checkpoint_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_CHECKPOINT", str(tmp_path / "env.ckpt")
-        )
-        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "c"))
-        runner.map(_cells(3))
-        assert len(runner.checkpoint.load()) == 3
+        assert resumed.stats.quarantined == 1
 
 
 class TestChaosDifferential:
@@ -453,3 +424,59 @@ class TestChaosMatrix:
         )
         assert identical
         assert len(clean_outcomes) == 4
+
+
+@pytest.mark.chaos
+class TestKillMinusNine:
+    """SIGKILL a real ``repro figure`` mid-sweep and run it again: the
+    rerun resumes from the result cache alone and prints the bytes an
+    uninterrupted run prints on a fresh cache."""
+
+    ARGS = ["figure", "fig13", "--scale", "smoke", "--jobs", "2"]
+
+    def _command(self, cache):
+        env = dict(
+            os.environ, PYTHONPATH=str(SRC), REPRO_CACHE_DIR=str(cache)
+        )
+        return [sys.executable, "-m", "repro"] + self.ARGS, env
+
+    def _run(self, cache):
+        argv, env = self._command(cache)
+        return subprocess.run(
+            argv, capture_output=True, text=True, env=env, timeout=600
+        )
+
+    def test_sigkill_then_rerun_matches_uninterrupted(self, tmp_path):
+        cache = ResultCache(tmp_path / "killed")
+        argv, env = self._command(cache.directory)
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        try:
+            # Wait for the first cached cells, then kill -9 mid-sweep.
+            deadline = time.monotonic() + 300
+            while time.monotonic() < deadline and proc.poll() is None:
+                if cache.size() > 0:
+                    break
+                time.sleep(0.02)
+            assert proc.poll() is None, (
+                "sweep finished before it could be killed; grow it"
+            )
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait(timeout=60) == -signal.SIGKILL
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+        survived = cache.size()
+        assert survived > 0
+
+        resumed = self._run(cache.directory)
+        assert resumed.returncode == 0, resumed.stderr
+        fresh = ResultCache(tmp_path / "fresh")
+        uninterrupted = self._run(fresh.directory)
+        assert uninterrupted.returncode == 0, uninterrupted.stderr
+        assert resumed.stdout == uninterrupted.stdout
+        # The rerun added only the cells the kill left unfinished.
+        assert survived < cache.size() == fresh.size()

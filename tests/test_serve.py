@@ -691,6 +691,28 @@ class TestSweeps:
             status.sweep_id
         ]
 
+    def test_client_cannot_name_a_daemon_file(self, daemon, tmp_path):
+        """A sweep request has no path field: the daemon keeps its only
+        sweep state in its own result cache and writes nowhere a client
+        names."""
+        target = tmp_path / "made" / "by" / "client.log"
+        payload = json.dumps(
+            dict(SweepRequest(jobs=1).to_dict(), checkpoint=str(target))
+        )
+        conn = http.client.HTTPConnection(
+            daemon.host, daemon.port, timeout=10
+        )
+        try:
+            conn.request("POST", "/v1/sweeps", body=payload)
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            assert resp.status == 400
+            assert body["error"] == "ConfigError"
+            assert "checkpoint" in body["message"]
+        finally:
+            conn.close()
+        assert not (tmp_path / "made").exists()
+
     def test_unknown_sweep_is_unknown_session(self):
         svc = PlacementService()
         with pytest.raises(UnknownSession):

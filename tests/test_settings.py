@@ -24,7 +24,6 @@ class TestSettings:
         assert s.seed == 0
         assert s.jobs is None
         assert s.cell_timeout is None
-        assert s.checkpoint is None
         assert s.cache_dir is None
         assert s.trace is None
         assert s.metrics is None
@@ -43,7 +42,6 @@ class TestSettings:
                 "REPRO_SEED": "-3",
                 "REPRO_JOBS": "4",
                 "REPRO_CELL_TIMEOUT": "1.5",
-                "REPRO_CHECKPOINT": "/tmp/ck.jsonl",
                 "REPRO_CACHE_DIR": "/tmp/cache",
                 "REPRO_TRACE": "/tmp/t.json",
                 "REPRO_METRICS": "/tmp/m.txt",
@@ -52,7 +50,6 @@ class TestSettings:
         assert s.seed == -3
         assert s.jobs == 4
         assert s.cell_timeout == 1.5
-        assert s.checkpoint == "/tmp/ck.jsonl"
         assert s.cache_dir == "/tmp/cache"
         assert s.trace == "/tmp/t.json"
         assert s.metrics == "/tmp/m.txt"
