@@ -6,7 +6,7 @@ is the one driver. It runs the suite, stamps ``version``, ``suite`` and
 ``code_fingerprint`` on the report, writes it (``--output``, default
 ``BENCH_<suite>.json``), prints the headline keys and gates, and exits
 non-zero when the report's ``ok`` is false, so ``make check`` can gate
-on every suite:
+on every suite. Each suite measures something no test does:
 
 * ``tracesim`` — the array-backed trace simulator against the frozen
   scalar reference on identical replayed streams, plus per-seed runs
@@ -14,20 +14,15 @@ on every suite:
 * ``model`` — the batched epoch engine against the frozen scalar
   reference on the Fig. 13 loop, bit-identity and speedup floors
   (:func:`run_model_bench`);
-* ``faults`` — the chaos smoke: clean vs. fault-injected sweeps on
-  throwaway caches plus the degraded-runtime drill
-  (:func:`run_faults_bench`);
-* ``obs`` — disabled-mode instrumentation overhead, span coverage and
-  metric determinism (:func:`run_obs_bench`);
-* ``fleet`` — same-seed determinism, invariants, the failure storm and
-  journal resume of the rack-scale layer (:func:`run_fleet_bench`);
-* ``serve`` — correctness, completeness and determinism of the
-  placement daemon under seeded synthetic tenants
-  (:func:`run_serve_bench`).
+* ``obs`` — the cost of disabled instrumentation against a stubbed
+  run (:func:`run_obs_bench`).
 
-End-to-end timing of what users run (cold sweeps, batched model runs,
-fleet churn, served decisions) lives in the ``bench`` package at the
-repository root, not here.
+Correctness gates (fault-injected sweeps, the fleet's determinism,
+invariants and resume, the daemon's clean and deterministic decisions)
+are tests: ``make check-faults`` and ``make check-resilience`` run the
+slow ones. End-to-end timing of what users run (cold sweeps, batched
+model runs, fleet churn, served decisions) lives in the ``bench``
+package at the repository root, not here.
 """
 
 from __future__ import annotations
@@ -51,14 +46,10 @@ from .runner import ResultCache, SweepRunner, code_fingerprint, resolve_jobs
 
 __all__ = [
     "OBS_OVERHEAD_GATE",
-    "OBS_REQUIRED_SPANS",
     "SUITES",
     "run_tracesim_bench",
     "run_model_bench",
-    "run_faults_bench",
     "run_obs_bench",
-    "run_fleet_bench",
-    "run_serve_bench",
     "add_bench_arguments",
     "cmd_bench",
 ]
@@ -532,143 +523,6 @@ def run_model_bench(
     }
 
 
-def run_faults_bench(
-    fault_seed: int = 0,
-    jobs: Optional[int] = None,
-    mixes: int = 2,
-    epochs: int = 3,
-    drill_epochs: int = 12,
-) -> Dict[str, Any]:
-    """The chaos smoke: differential sweep + degraded-runtime drill.
-
-    Runs entirely on throwaway cache directories (the user's result
-    cache is never touched), so every invocation exercises the cold
-    compute path, the retry/crash-recovery machinery, and — on the
-    second faulty pass, over a cache with one entry corrupted on
-    purpose — the corrupt-entry quarantine path. Sets ``report["ok"]``
-    only if the faulty sweeps are bit-identical to the clean one, the
-    second pass quarantined at least one entry, *and* the drill never
-    violated bank isolation.
-    """
-    import shutil
-
-    from . import runner as runner_module
-    from .chaos import degraded_runtime_cell, differential_sweep
-    from .experiments.common import workload_cell
-    from .faults import FaultPlan
-    from .runner import RetryPolicy, SweepRunner, cell_key, compute_cell
-
-    jobs_resolved = resolve_jobs(jobs)
-    sweep_kwargs = dict(
-        designs=("Static", "Jumanji"),
-        lc_workloads=("xapian",),
-        loads=("high",),
-        mixes=mixes,
-        epochs=epochs,
-    )
-    sweep_plan = FaultPlan(
-        seed=fault_seed,
-        worker_crash=0.3,
-        cell_error=0.2,
-        cache_corrupt=0.4,
-    )
-    policy = RetryPolicy(retries=6, backoff_seconds=0.01)
-    clean_dir = tempfile.mkdtemp(prefix="repro-faults-clean-")
-    faulty_dir = tempfile.mkdtemp(prefix="repro-faults-chaos-")
-    try:
-        clean_runner = SweepRunner(
-            jobs=jobs_resolved, cache=ResultCache(clean_dir)
-        )
-        faulty_runner = SweepRunner(
-            jobs=jobs_resolved,
-            cache=ResultCache(faulty_dir),
-            policy=policy,
-            fault_plan=sweep_plan,
-        )
-        start = time.perf_counter()
-        cold_identical, clean_outcomes, _ = differential_sweep(
-            clean_runner, faulty_runner, **sweep_kwargs
-        )
-        cold_wall = time.perf_counter() - start
-        # Second pass over a corrupted cache: quarantine and recompute,
-        # still bit-identical. One entry is rewritten clean and then
-        # corrupted (corrupting a plan-corrupted entry would undo it).
-        key = cell_key(workload_cell("Jumanji", "xapian", "high", 0, epochs))
-        planted = ResultCache(faulty_dir)
-        planted.put(key, ResultCache(clean_dir).get(key)["value"], 0.0)
-        runner_module._corrupt_entry(planted, key)
-        warm_runner = SweepRunner(
-            jobs=jobs_resolved,
-            cache=ResultCache(faulty_dir),
-            policy=policy,
-            fault_plan=sweep_plan,
-        )
-        start = time.perf_counter()
-        warm_identical, _, _ = differential_sweep(
-            clean_runner, warm_runner, **sweep_kwargs
-        )
-        warm_wall = time.perf_counter() - start
-    finally:
-        shutil.rmtree(clean_dir, ignore_errors=True)
-        shutil.rmtree(faulty_dir, ignore_errors=True)
-
-    drill_plan = FaultPlan(
-        seed=fault_seed,
-        telemetry_nan=0.25,
-        telemetry_negative=0.2,
-        telemetry_drop=0.2,
-        cell_error=0.3,
-    )
-    drill = compute_cell(
-        degraded_runtime_cell(
-            epochs=drill_epochs, plan=drill_plan.as_params()
-        )
-    )
-
-    warm_quarantine_ok = warm_runner.stats.quarantined >= 1
-    ok = bool(cold_identical and warm_identical and warm_quarantine_ok
-              and drill["isolation_ok"])
-    return {
-        "jobs": jobs_resolved,
-        "fault_seed": fault_seed,
-        "sweep_plan": sweep_plan.as_params(),
-        "drill_plan": drill_plan.as_params(),
-        "differential": {
-            "cells": len(clean_outcomes),
-            "cold_identical": cold_identical,
-            "cold_wall_seconds": cold_wall,
-            "cold_stats": faulty_runner.stats.as_dict(),
-            "warm_identical": warm_identical,
-            "warm_wall_seconds": warm_wall,
-            "warm_stats": warm_runner.stats.as_dict(),
-            "warm_quarantine_ok": warm_quarantine_ok,
-        },
-        "drill": {
-            "epochs": drill["epochs"],
-            "isolation_ok": drill["isolation_ok"],
-            "shared_bank_epochs": drill["shared_bank_epochs"],
-            "degraded_epochs": drill["degraded_epochs"],
-            "telemetry_events": drill["telemetry_events"],
-            "placement_events": drill["placement_events"],
-        },
-        "ok": ok,
-    }
-
-
-#: Span names a traced model run must produce for the observability
-#: subsystem to count as covering the 100 ms loop end to end.
-OBS_REQUIRED_SPANS = frozenset(
-    {
-        "model.epoch",
-        "runtime.reconfigure",
-        "controller.update",
-        "placer.allocate",
-        "placer.latcrit",
-        "placer.lookahead",
-        "placer.jumanji",
-    }
-)
-
 #: Disabled-mode overhead gate: instrumented-but-disabled must cost at
 #: most this fraction more than the same code with the instrumentation
 #: stubbed out entirely.
@@ -681,22 +535,17 @@ def run_obs_bench(
     lc_workload: str = "xapian",
     load: str = "high",
 ) -> Dict[str, Any]:
-    """Gate the observability subsystem: zero-cost off, complete on.
+    """Gate the observability subsystem's cost when it is switched off.
 
-    Three checks on the Fig. 13 epoch loop (Jumanji, one mix):
-
-    * **overhead** — ``repeats`` pairs of the disabled-but-instrumented
-      run and the same run with every ``repro.obs`` hook swapped for a
-      bare stub (:func:`repro.obs.uninstrumented`); which side runs
-      first alternates from pair to pair, so host-speed drift within a
-      pair does not land on one side. The median of the per-pair
-      ratios must stay within :data:`OBS_OVERHEAD_GATE`; their
-      quartiles are reported as the spread.
-    * **coverage** — an enabled run must produce every span in
-      :data:`OBS_REQUIRED_SPANS` and write a loadable trace + metrics
-      snapshot.
-    * **determinism** — two enabled same-seed runs must produce
-      identical metric snapshots (no wall-clock leaks into values).
+    Times ``repeats`` pairs of the Fig. 13 epoch loop (Jumanji, one
+    mix): the disabled-but-instrumented run and the same run with every
+    ``repro.obs`` hook swapped for a bare stub
+    (:func:`repro.obs.uninstrumented`). Which side runs first alternates
+    from pair to pair, so host-speed drift within a pair does not land
+    on one side. The median of the per-pair ratios must stay within
+    :data:`OBS_OVERHEAD_GATE`; their quartiles are reported as the
+    spread. Span coverage and snapshot determinism of an enabled run
+    are tests (``tests/test_obs.py``), not part of this suite.
     """
     from . import obs
     from .core.designs import make_design
@@ -756,32 +605,6 @@ def run_obs_bench(
     overhead = statistics.median(overheads)
     overhead_ok = overhead <= OBS_OVERHEAD_GATE
 
-    # Coverage + determinism: two enabled same-seed runs.
-    snapshots: List[Dict[str, Any]] = []
-    span_names: set = set()
-    trace_loadable = False
-    with tempfile.TemporaryDirectory() as tmp:
-        for attempt in range(2):
-            obs.reset()
-            trace = os.path.join(tmp, f"trace{attempt}.jsonl")
-            metrics = os.path.join(tmp, f"metrics{attempt}.txt")
-            obs.configure(trace=trace, metrics=metrics)
-            try:
-                one_run()
-            finally:
-                obs.flush()
-            snapshots.append(obs.metrics().snapshot())
-            records = obs.load_trace(trace)
-            span_names |= {
-                r["name"] for r in records if r.get("type") == "span"
-            }
-            trace_loadable = bool(records)
-            obs.reset()
-    missing = sorted(OBS_REQUIRED_SPANS - span_names)
-    coverage_ok = not missing and trace_loadable
-    deterministic = snapshots[0] == snapshots[1]
-
-    ok = overhead_ok and coverage_ok and deterministic
     return {
         "workload": {
             "design": "Jumanji",
@@ -799,350 +622,7 @@ def run_obs_bench(
             "gate": OBS_OVERHEAD_GATE,
             "ok": overhead_ok,
         },
-        "coverage": {
-            "spans": sorted(span_names),
-            "required": sorted(OBS_REQUIRED_SPANS),
-            "missing": missing,
-            "trace_loadable": trace_loadable,
-            "ok": coverage_ok,
-        },
-        "determinism": {"identical_snapshots": deterministic},
-        "ok": ok,
-    }
-
-
-def run_fleet_bench(
-    chips: int = 32,
-    epochs: int = 10,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Gate the rack-scale fleet layer: determinism + invariants.
-
-    Runs one seeded scenario — diurnal load, Poisson churn, a possible
-    flash crowd, and rack-correlated chip failures — twice end to end:
-
-    * **determinism** — the two canonical results must serialise
-      byte-identically (``FleetResult.to_json``); any wall-clock or
-      iteration-order leak fails the gate.
-    * **invariants** — neither run may record a conservation, capacity,
-      or isolation violation (``FleetResult.ok``).
-    * **throughput** — chip-epochs/s for the slower run is recorded so
-      regressions in the hierarchical epoch loop show up in the report.
-    * **resilience storm** — a failure-heavy scenario (correlated rack
-      failures, repairable chips, stragglers, bounded admission queue)
-      must finish with zero invariant violations, at least one
-      completed repair, and repaired chips back in service.
-    * **checkpoint/resume** — a run killed mid-flight and resumed from
-      its ``--checkpoint`` journal must serialise byte-identically to
-      an uninterrupted run of the same scenario.
-    """
-    from .faults import FaultPlan
-    from .fleet import Fleet, FleetJournal, Scenario, run_fleet
-
-    scenario = Scenario(
-        chips=chips,
-        epochs=epochs,
-        seed=seed,
-        flash_prob=0.1,
-        fault_plan=FaultPlan(seed=seed, chip_failure=0.02),
-    )
-
-    runs: List[Dict[str, Any]] = []
-    payloads: List[str] = []
-    for _ in range(2):
-        start = time.perf_counter()
-        result = run_fleet(scenario)
-        wall = time.perf_counter() - start
-        payloads.append(result.to_json())
-        runs.append(
-            {
-                "wall_seconds": wall,
-                "chip_epochs_per_s": chips * epochs / wall,
-                "ok": result.ok,
-                "counters": dict(result.counters),
-                "invariant_violations": list(
-                    result.invariant_violations
-                ),
-            }
-        )
-
-    deterministic = payloads[0] == payloads[1]
-    invariants_ok = all(r["ok"] for r in runs)
-
-    # Resilience storm: failures every epoch, most chips repairable,
-    # stragglers, and enough churn that repaired sockets are needed
-    # again. The gate requires the self-healing loop to demonstrably
-    # close: repairs completed, repaired chips back in service, and
-    # not a single invariant violated under the storm.
-    storm = Scenario(
-        chips=chips,
-        epochs=epochs,
-        seed=seed,
-        rack_size=2,
-        arrival_rate=2.0,
-        flash_prob=0.2,
-        admission_patience=3,
-        pending_limit=16,
-        fault_plan=FaultPlan(
-            seed=seed,
-            chip_failure=0.08,
-            chip_repair=0.9,
-            chip_slow=0.1,
-            repair_mttr_epochs=2.0,
-        ),
-    )
-    storm_fleet = Fleet(storm)
-    storm_result = storm_fleet.run()
-    repaired = sorted(storm_fleet.repaired_chips)
-    serving = [
-        chip_id
-        for chip_id in repaired
-        if storm_fleet.chips[chip_id].alive
-        and storm_fleet.chips[chip_id].tenants
-    ]
-    storm_ok = (
-        storm_result.ok
-        and storm_result.counters.get("repairs", 0) > 0
-        and bool(serving)
-    )
-
-    # Checkpoint/resume: journal a small storm run, abandon it halfway
-    # (the in-process stand-in for kill -9; the chaos test suite does
-    # the real subprocess kill), then resume from the journal and
-    # demand byte-identity with an uninterrupted run.
-    ck_scenario = Scenario(
-        chips=min(chips, 8),
-        epochs=max(4, min(epochs, 8)),
-        seed=seed,
-        rack_size=2,
-        flash_prob=0.1,
-        admission_patience=3,
-        pending_limit=8,
-        fault_plan=FaultPlan(
-            seed=seed,
-            chip_failure=0.05,
-            chip_repair=0.8,
-            chip_slow=0.08,
-            repair_mttr_epochs=2.0,
-        ),
-    )
-    uninterrupted = run_fleet(ck_scenario).to_json()
-    interrupt_at = ck_scenario.epochs // 2
-    with tempfile.TemporaryDirectory() as tmp:
-        ck_path = pathlib.Path(tmp) / "fleet.journal"
-        killed = Fleet(ck_scenario)
-        journal = FleetJournal(ck_path)
-        journal.write_header(ck_scenario.as_params(), "Jumanji")
-        killed.attach_journal(journal)
-        killed.setup()
-        for epoch in range(interrupt_at):
-            killed.step(epoch)
-        del killed  # the "crash": only the journal survives
-        resumed = run_fleet(
-            ck_scenario, checkpoint=ck_path
-        ).to_json()
-    resume_identical = resumed == uninterrupted
-
-    ok = (
-        deterministic and invariants_ok and storm_ok
-        and resume_identical
-    )
-    return {
-        "scenario": scenario.as_params(),
-        "runs": runs,
-        "chip_epochs_per_s": min(
-            r["chip_epochs_per_s"] for r in runs
-        ),
-        "determinism": {"identical_results": deterministic},
-        "invariants": {"ok": invariants_ok},
-        "resilience": {
-            "scenario": storm.as_params(),
-            "counters": dict(storm_result.counters),
-            "invariant_violations": list(
-                storm_result.invariant_violations
-            ),
-            "repaired_chips": repaired,
-            "repaired_serving": serving,
-            "ok": storm_ok,
-        },
-        "checkpoint": {
-            "scenario": ck_scenario.as_params(),
-            "interrupted_at_epoch": interrupt_at,
-            "resume_identical": resume_identical,
-            "ok": resume_identical,
-        },
-        "ok": ok,
-    }
-
-
-#: Daemon-side stages of one decision, in request order (``obs`` span
-#: names without the ``serve.`` prefix). ``other`` in the stage table is
-#: ``request`` less these: routing, ``report_latencies`` and building
-#: the ``Decision``.
-SERVE_STAGES = ("parse", "lock_wait", "decide", "encode", "write")
-
-
-def _serve_stage_table(scripts) -> Dict[str, Any]:
-    """Where a served decision's time goes, next to the in-process cost.
-
-    Replays ``scripts`` twice, one decision at a time: straight into a
-    :class:`~repro.serve.PlacementService` (the ceiling: what a decision
-    costs without HTTP), then through a fresh daemon. ``obs`` collection
-    is on for both passes, so the ratio of the two carries the same
-    span cost on each side. Requests never overlap, so each telemetry
-    request's stage spans are exactly the ones that closed since the
-    previous request's ``serve.request`` span.
-    """
-    from . import obs
-    from .serve import PlacementService, ServeDaemon
-    from .serve.loadgen import run_loadgen
-    from .sim.queueing import percentile
-
-    ceiling: List[float] = []
-    obs.reset()
-    obs.configure(enabled=True)
-    try:
-        service = PlacementService()
-        for script in scripts:
-            info = service.create_session(script.create)
-            for epoch in range(len(script.factors)):
-                telemetry = script.telemetry(info, epoch)
-                start = time.perf_counter()
-                service.decide(info.session_id, telemetry)
-                ceiling.append((time.perf_counter() - start) * 1e3)
-        # Only the daemon pass's spans go into the stage table.
-        obs.reset()
-        obs.configure(enabled=True)
-        with ServeDaemon(port=0) as daemon:
-            staged = run_loadgen(
-                daemon.host,
-                daemon.port,
-                tenants=len(scripts),
-                requests=len(scripts[0].factors),
-                concurrency=1,
-                scripts=scripts,
-            )
-        records = obs.events()
-    finally:
-        obs.reset()
-
-    per_stage: Dict[str, List[float]] = {
-        name: [] for name in SERVE_STAGES + ("request",)
-    }
-    pending: Dict[str, float] = {}
-    for rec in records:
-        name = rec.get("name", "")
-        if rec.get("type") != "span" or not name.startswith("serve."):
-            continue
-        stage = name[len("serve."):]
-        ms = rec["dur_us"] / 1e3
-        if stage != "request":
-            pending[stage] = pending.get(stage, 0.0) + ms
-            continue
-        if rec.get("args", {}).get("path", "").endswith("/telemetry"):
-            per_stage["request"].append(ms)
-            for other in SERVE_STAGES:
-                per_stage[other].append(pending.get(other, 0.0))
-        pending = {}
-
-    def mean(values: List[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
-
-    stages = {name: mean(per_stage[name]) for name in SERVE_STAGES}
-    stages["other"] = mean(per_stage["request"]) - sum(stages.values())
-    roundtrip_mean = mean(staged.latencies_ms)
-    ceiling_mean = mean(ceiling)
-    return {
-        "decisions": len(per_stage["request"]),
-        "stage_mean_ms": stages,
-        "request_mean_ms": mean(per_stage["request"]),
-        "roundtrip_mean_ms": roundtrip_mean,
-        "roundtrip_p50_ms": staged.latency_ms(50.0),
-        "roundtrip_p95_ms": staged.latency_ms(95.0),
-        "inprocess_decide_mean_ms": ceiling_mean,
-        "inprocess_decide_p50_ms": percentile(ceiling, 50.0),
-        "inprocess_decide_p95_ms": percentile(ceiling, 95.0),
-        "http_overhead_ratio": roundtrip_mean / ceiling_mean,
-        "ok": staged.ok,
-    }
-
-
-def run_serve_bench(
-    tenants: int = 40,
-    requests: int = 25,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Gate the placement service: throughput + determinism.
-
-    Boots an in-process :class:`~repro.serve.ServeDaemon` on a free
-    port and drives it twice with the same seeded synthetic-tenant
-    script (``repro.serve.loadgen``):
-
-    * **correctness** — both runs must finish with zero client errors
-      and zero invariant violations (epoch echo, positive ``lat_sizes``,
-      LC apps present in every non-degraded allocation).
-    * **determinism** — the per-tenant decision fingerprints (canonical
-      JSON of each decision minus the session id) must be
-      byte-identical between the runs: same telemetry script in, same
-      placement sequence out.
-    * **throughput** — decisions/s and client-observed p50/p95 decision
-      latency of the slower run are recorded so regressions in the
-      request path show up in the report.
-    * **stages** — one more, sequential pass splits the daemon's time
-      per decision into :data:`SERVE_STAGES` next to the in-process
-      ``PlacementService.decide`` ceiling (:func:`_serve_stage_table`);
-      reported, not gated.
-    """
-    from .serve import ServeDaemon
-    from .serve.loadgen import build_scripts, run_loadgen
-
-    runs: List[Dict[str, Any]] = []
-    fingerprints: List[Dict[int, List[str]]] = []
-    with ServeDaemon(port=0) as daemon:
-        for _ in range(2):
-            report_run = run_loadgen(
-                daemon.host,
-                daemon.port,
-                tenants=tenants,
-                requests=requests,
-                seed=seed,
-            )
-            fingerprints.append(report_run.fingerprints)
-            runs.append(
-                {
-                    "wall_seconds": report_run.wall_seconds,
-                    "decisions": report_run.decisions,
-                    "decisions_per_s": report_run.decisions_per_sec,
-                    "p50_decision_ms": report_run.latency_ms(50.0),
-                    "p95_decision_ms": report_run.latency_ms(95.0),
-                    "errors": list(report_run.errors),
-                    "invariant_violations": list(
-                        report_run.violations
-                    ),
-                    "ok": report_run.ok,
-                }
-            )
-
-    stages = _serve_stage_table(
-        build_scripts(tenants, requests, seed=seed)
-    )
-    correct = all(r["ok"] for r in runs)
-    complete = all(
-        r["decisions"] == tenants * requests for r in runs
-    )
-    deterministic = fingerprints[0] == fingerprints[1]
-    ok = correct and complete and deterministic
-    return {
-        "tenants": tenants,
-        "requests_per_tenant": requests,
-        "seed": seed,
-        "runs": runs,
-        "decisions_per_s": min(r["decisions_per_s"] for r in runs),
-        "p95_decision_ms": max(r["p95_decision_ms"] for r in runs),
-        "determinism": {"identical_decisions": deterministic},
-        "invariants": {"ok": correct, "complete": complete},
-        "stages": stages,
-        "ok": ok,
+        "ok": overhead_ok,
     }
 
 
@@ -1191,52 +671,13 @@ SUITES: Dict[str, Suite] = {
             "stats_identical", "deadline_cache.bounded",
         ),
     ),
-    "faults": Suite(
-        run_faults_bench,
-        "BENCH_faults.json",
-        lambda a, path: _given(
-            fault_seed=a.fault_seed, jobs=a.jobs, mixes=a.mixes,
-            epochs=a.epochs,
-        ),
-        (
-            "differential.cells", "differential.cold_stats.retries",
-            "differential.warm_stats.quarantined",
-            "differential.cold_identical", "differential.warm_identical",
-            "differential.warm_quarantine_ok", "drill.isolation_ok",
-        ),
-    ),
     "obs": Suite(
         run_obs_bench,
         "BENCH_obs.json",
         lambda a, path: _given(epochs=a.epochs),
         (
             "overhead.overhead", "overhead.overhead_quartiles",
-            "overhead.ok", "coverage.missing", "coverage.ok",
-            "determinism.identical_snapshots",
-        ),
-    ),
-    "fleet": Suite(
-        run_fleet_bench,
-        "BENCH_fleet.json",
-        lambda a, path: _given(
-            chips=a.chips, epochs=a.epochs, seed=a.fault_seed
-        ),
-        (
-            "chip_epochs_per_s", "resilience.counters.repairs",
-            "determinism.identical_results", "invariants.ok",
-            "resilience.ok", "checkpoint.resume_identical",
-        ),
-    ),
-    "serve": Suite(
-        run_serve_bench,
-        "BENCH_serve.json",
-        lambda a, path: _given(
-            tenants=a.tenants, requests=a.requests, seed=a.fault_seed
-        ),
-        (
-            "decisions_per_s", "p95_decision_ms",
-            "stages.http_overhead_ratio", "invariants.ok",
-            "invariants.complete", "determinism.identical_decisions",
+            "overhead.ok",
         ),
     ),
 }
@@ -1255,11 +696,12 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     )
     # Unset options fall through to the run function's defaults.
     parser.add_argument("--jobs", type=int,
-                        help="parallel workers (default: REPRO_JOBS or "
-                        "cpu count)")
+                        help="tracesim: sharded-run workers (default: "
+                        "REPRO_JOBS, else at most 4)")
     parser.add_argument("--mixes", type=int,
-                        help="batch mixes per workload")
-    parser.add_argument("--epochs", type=int, help="epochs per run")
+                        help="model: mixes per design batch (default 2)")
+    parser.add_argument("--epochs", type=int,
+                        help="model/obs: epochs per run (default 20)")
     parser.add_argument("--output",
                         help="report path (default BENCH_<suite>.json)")
     parser.add_argument("--accesses", type=int,
@@ -1270,18 +712,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", action="store_true",
                         help="tracesim: dump cProfile stats for one "
                         "simulated epoch next to the report")
-    parser.add_argument("--fault-seed", type=int,
-                        help="faults/fleet/serve: scenario and FaultPlan "
-                        "seed (default 0)")
-    parser.add_argument("--chips", type=int,
-                        help="fleet: sockets in the fleet (default 32)")
-    parser.add_argument("--tenants", type=int,
-                        help="serve: concurrent tenant sessions "
-                        "(default 40)")
-    parser.add_argument("--requests", type=int,
-                        help="serve: telemetry posts per tenant "
-                        "(default 25)")
-
 
 def _lookup(report: Dict[str, Any], dotted: str) -> Any:
     for key in dotted.split("."):

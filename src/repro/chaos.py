@@ -9,7 +9,7 @@ Two levels, mirroring the two fault-tolerant layers:
   retries recompute deterministic cells.
   :func:`differential_sweep` packages that comparison.
 
-* **Runtime level** — the ``degraded_runtime`` cell kind drives a
+* **Runtime level** — :func:`run_degraded_runtime` drives a
   :class:`~repro.core.runtime.JumanjiRuntime` for N epochs while the
   plan mangles its tail telemetry (NaN / negative / dropped samples)
   and sporadically blows up the placer. The drill records, per epoch,
@@ -17,9 +17,9 @@ Two levels, mirroring the two fault-tolerant layers:
   security invariant (``repro.metrics.security``) — the paper's
   guarantee must hold in *every* degraded epoch, not just healthy ones.
 
-The drill is a registered cell kind with a JSON-canonical
-:class:`~repro.faults.FaultPlan` in its params, so chaos scenarios are
-content-addressed and cached exactly like ordinary experiment cells.
+Both are exercised by the tests (``tests/test_fault_tolerant_runner.py``
+and ``tests/test_degraded_runtime.py``; ``make check-faults`` adds the
+slow ``chaos``-marked matrix).
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from .core.designs import LlcDesign, make_design
 from .core.runtime import JumanjiRuntime
 from .faults import FaultPlan, corrupt_tail_sample
 from .model.workload import make_default_workload
-from .runner import Cell, SweepRunner, register_cell_kind
+from .runner import SweepRunner
 
 __all__ = [
-    "degraded_runtime_cell",
     "run_degraded_runtime",
     "differential_sweep",
 ]
@@ -76,31 +75,6 @@ class _FlakyDesign:
         return getattr(self._inner, attr)
 
 
-def degraded_runtime_cell(
-    design: str = "Jumanji",
-    lc_workload: str = "xapian",
-    load: str = "high",
-    mix_seed: int = 0,
-    epochs: int = 20,
-    deadline_cycles: float = 1e7,
-    plan: Optional[Mapping[str, Any]] = None,
-) -> Cell:
-    """Cell running the degraded-runtime drill (cacheable chaos)."""
-    return Cell(
-        "degraded_runtime",
-        {
-            "design": design,
-            "lc_workload": lc_workload,
-            "load": load,
-            "mix_seed": mix_seed,
-            "epochs": epochs,
-            "deadline_cycles": float(deadline_cycles),
-            "plan": dict(plan) if plan is not None else None,
-        },
-    )
-
-
-@register_cell_kind("degraded_runtime")
 def run_degraded_runtime(
     design: str = "Jumanji",
     lc_workload: str = "xapian",

@@ -10,8 +10,8 @@ Commands:
 * ``figure <name>``        — regenerate and print one artifact
 * ``fleet run``            — rack-scale fleet simulation over many chips
 * ``bench --suite <name>`` — gated benchmark suites
-  (:data:`repro.bench.SUITES`): ``tracesim``, ``model``, ``faults``,
-  ``obs``, ``fleet`` and ``serve``; each writes ``BENCH_<name>.json``
+  (:data:`repro.bench.SUITES`): ``tracesim``, ``model`` and ``obs``;
+  each writes ``BENCH_<name>.json``
 * ``serve run``            — placement-as-a-service HTTP daemon
   (:mod:`repro.serve`); ``serve loadgen`` drives it with N synthetic
   tenants and prints throughput/latency

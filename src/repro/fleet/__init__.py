@@ -36,9 +36,10 @@ Quick start::
     assert result.ok                  # no invariant broke
     print(result.counters["migrations"], "migrations")
 
-``repro fleet run`` wraps the same entry point on the CLI, and
-``repro bench --suite fleet`` gates throughput, same-seed determinism,
-and the invariants.
+``repro fleet run`` wraps the same entry point on the CLI.
+``tests/test_fleet.py`` and ``tests/test_fleet_resilience.py`` gate
+same-seed determinism, the invariants and journal resume;
+``python3 -m bench run --workload fleet-churn`` times it end to end.
 """
 
 from .chip import (

@@ -42,14 +42,14 @@ tenant on exactly one live chip, registry and chips agreeing), capacity
 (``arrivals == admissions + pending + rejections`` and ``admissions ==
 resident + departures + vms_lost``) — and every fresh per-chip
 placement is isolation-checked in :meth:`FleetChip.tick`. Violations
-are collected into the result (and fail the bench gate) rather than
-silently dropped.
+are collected into the result (and make :attr:`FleetResult.ok` false)
+rather than silently dropped.
 
 Determinism contract: :class:`FleetResult` contains no wall-clock and
 no unordered iteration — two same-seed runs serialise byte-identically
-(the CLI and ``repro bench --suite fleet`` gate on exactly that), and a
-run killed mid-way resumes from its :class:`~repro.fleet.resilience.
-FleetJournal` to the same bytes.
+(the CLI tests gate on exactly that), and a run killed mid-way resumes
+from its :class:`~repro.fleet.resilience.FleetJournal` to the same
+bytes.
 """
 
 from __future__ import annotations

@@ -393,9 +393,8 @@ def register_cell_kind(
 
 def _handler_for(kind: str) -> Callable[..., Any]:
     if kind not in _CELL_KINDS:
-        # Built-in handlers live in the experiment, attack, shard,
-        # chaos, and validation modules; importing registers them all.
-        from . import chaos  # noqa: F401
+        # Built-in handlers live in the experiment, attack, shard and
+        # validation modules; importing registers them all.
         from . import experiments  # noqa: F401
         from .model import validation  # noqa: F401
         from .sim import attack, shard  # noqa: F401
@@ -790,8 +789,8 @@ class SweepRunner:
 
     ``policy`` governs retries/timeouts/pool respawns (default:
     :meth:`RetryPolicy.from_env`). ``fault_plan`` injects deterministic
-    faults — used by the chaos tests and ``repro bench --suite faults``;
-    leave ``None`` for production runs.
+    faults — used by the chaos tests; leave ``None`` for production
+    runs.
     """
 
     def __init__(

@@ -30,8 +30,8 @@ Quick start::
         print(decision.lat_sizes)
 
 CLI: ``repro serve run`` (foreground daemon) and ``repro serve loadgen
---tenants N`` (synthetic fleet); benched and gated by ``repro bench
---suite serve``.
+--tenants N`` (synthetic fleet). ``tests/test_serve.py`` gates it;
+``python3 -m bench run --workload serve-tenants`` times it end to end.
 """
 
 from .client import Client

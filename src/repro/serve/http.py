@@ -144,7 +144,17 @@ class _Handler(BaseHTTPRequestHandler):
     def _body(self) -> Any:
         """The request body as parsed JSON (413 on oversize, 400 on
         malformed)."""
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        # A negative length would make rfile.read() block until EOF.
+        if length < 0:
+            raise ConfigError(
+                "Content-Length header must be a non-negative integer, "
+                f"got {header!r}"
+            )
         max_body = self.server.max_body  # type: ignore[attr-defined]
         if length > max_body:
             raise PayloadTooLarge(

@@ -13,9 +13,9 @@ each decision's :meth:`~repro.serve.schema.Decision.fingerprint`.
 Determinism is the point: the same ``(seed, tenants, requests)``
 replayed against a fresh daemon must produce byte-identical
 fingerprint sequences per tenant, whatever the thread interleaving —
-sessions are isolated, so concurrency cannot leak into decisions. The
-bench suite (``repro bench --suite serve``) runs the generator twice
-and gates on exactly that.
+sessions are isolated, so concurrency cannot leak into decisions.
+``tests/test_serve.py`` runs the generator twice and asserts exactly
+that.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..sim.queueing import percentile
 from ..workloads.tailbench import lc_profile_names
@@ -67,7 +67,7 @@ class TenantScript:
 
 @dataclass
 class LoadgenReport:
-    """What a loadgen run observed (the bench suite's raw material)."""
+    """What a loadgen run observed: counts, latencies, fingerprints."""
 
     tenants: int
     requests: int
@@ -220,11 +220,9 @@ def run_loadgen(
     seed: int = 0,
     concurrency: int = 8,
     chip: str = "small",
-    scripts: Optional[List[TenantScript]] = None,
 ) -> LoadgenReport:
     """Drive a daemon with ``tenants`` concurrent telemetry scripts."""
-    if scripts is None:
-        scripts = build_scripts(tenants, requests, seed=seed, chip=chip)
+    scripts = build_scripts(tenants, requests, seed=seed, chip=chip)
     report = LoadgenReport(
         tenants=tenants, requests=requests, seed=seed
     )

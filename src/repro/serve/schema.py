@@ -332,8 +332,8 @@ class Decision(_Message):
 
         Excludes ``session_id`` (an accident of registry order under
         concurrency) so the same telemetry script replayed into a fresh
-        session fingerprints byte-identically — the bench suite's
-        determinism gate compares exactly these strings.
+        session fingerprints byte-identically — the loadgen
+        determinism test compares exactly these strings.
         """
         payload = self.to_dict()
         payload.pop("session_id")

@@ -1,7 +1,6 @@
 """``repro bench``: the suite table, its report envelope and its gates."""
 
 import dataclasses
-import itertools
 import json
 
 import pytest
@@ -13,10 +12,7 @@ from repro.cli import main
 SMOKE_ARGS = {
     "tracesim": ("--accesses", "1000", "--seeds", "2"),
     "model": ("--mixes", "1", "--epochs", "4"),
-    "faults": ("--mixes", "1", "--epochs", "2"),
     "obs": ("--epochs", "4"),
-    "fleet": ("--chips", "8", "--epochs", "6"),
-    "serve": ("--tenants", "4", "--requests", "5"),
 }
 
 
@@ -77,66 +73,17 @@ def _break_model(monkeypatch):
     )
 
 
-def _break_faults(monkeypatch):
-    import repro.chaos
-
-    real = repro.chaos.differential_sweep
-
-    def differential_sweep(*args, **kwargs):
-        return (False, *real(*args, **kwargs)[1:])
-
-    monkeypatch.setattr(repro.chaos, "differential_sweep", differential_sweep)
-
-
-def _break_faults_quarantine(monkeypatch):
-    import repro.runner
-
-    # Nothing gets corrupted, so the warm pass quarantines nothing.
-    monkeypatch.setattr(
-        repro.runner, "_corrupt_entry", lambda cache, key: None
-    )
-
-
 def _break_obs(monkeypatch):
     import repro.bench
 
     monkeypatch.setattr(repro.bench, "OBS_OVERHEAD_GATE", -1.0)
 
 
-def _break_fleet(monkeypatch):
-    from repro.fleet.cluster import FleetResult
-
-    calls = itertools.count()
-    monkeypatch.setattr(
-        FleetResult, "to_json", lambda self: str(next(calls))
-    )
-
-
-def _break_serve(monkeypatch):
-    import repro.serve.loadgen
-
-    real = repro.serve.loadgen.run_loadgen
-    calls = itertools.count()
-
-    def run_loadgen(*args, **kwargs):
-        report = real(*args, **kwargs)
-        report.fingerprints[-1] = [str(next(calls))]
-        return report
-
-    monkeypatch.setattr(repro.serve.loadgen, "run_loadgen", run_loadgen)
-
-
-#: Forced gate failures per suite: (breaker, the gate it trips).
+#: Forced gate failure per suite: (breaker, the gate it trips).
 BREAKERS = {
-    "tracesim": [(_break_tracesim, "stats_identical")],
-    "model": [(_break_model, "stats_identical")],
-    "faults": [
-        (_break_faults, "differential.cold_identical"),
-        (_break_faults_quarantine, "differential.warm_quarantine_ok"),
-    ],
-    "obs": [(_break_obs, "overhead.ok")],
-    "fleet": [(_break_fleet, "determinism.identical_results")],
-    "serve": [(_break_serve, "determinism.identical_decisions")],
+    "tracesim": (_break_tracesim, "stats_identical"),
+    "model": (_break_model, "stats_identical"),
+    "obs": (_break_obs, "overhead.ok"),
 }
 
 
@@ -146,21 +93,27 @@ def test_every_suite_has_smoke_args_and_a_breaker():
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_failed_gate_fails_the_suite(suite, bench_env, monkeypatch, capsys):
-    for breaker, gate in BREAKERS[suite]:
-        with monkeypatch.context() as patch:
-            breaker(patch)
-            out = bench_env / f"BENCH_{suite}.json"
-            rc, report = _run_suite(suite, out, extra=("--jobs", "1"))
-        assert rc == 1
-        assert report["ok"] is False
-        value = report
-        for key in gate.split("."):
-            value = value[key]
-        assert value is False, gate
-        assert f"{suite.upper()} SUITE FAILED" in capsys.readouterr().out
+    breaker, gate = BREAKERS[suite]
+    breaker(monkeypatch)
+    out = bench_env / f"BENCH_{suite}.json"
+    rc, report = _run_suite(suite, out, extra=("--jobs", "1"))
+    assert rc == 1
+    assert report["ok"] is False
+    value = report
+    for key in gate.split("."):
+        value = value[key]
+    assert value is False, gate
+    assert f"{suite.upper()} SUITE FAILED" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [["bench"], ["bench", "--suite", "sweeps"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench"],
+        ["bench", "--suite", "sweeps"],
+        ["bench", "--suite", "fleet"],
+    ],
+)
 def test_bench_needs_a_known_suite(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

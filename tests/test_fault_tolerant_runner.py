@@ -286,7 +286,19 @@ class TestCacheResume:
 class TestChaosDifferential:
     def test_small_sweep_identical_under_faults(self, tmp_path):
         from repro.chaos import differential_sweep
+        from repro.experiments.common import workload_cell
+        from repro.runner import _corrupt_entry
 
+        plan = FaultPlan(
+            seed=0, worker_crash=0.3, cell_error=0.2, cache_corrupt=0.4,
+        )
+        sweep = dict(
+            designs=("Static", "Jumanji"),
+            lc_workloads=("xapian",),
+            loads=("high",),
+            mixes=2,
+            epochs=2,
+        )
         clean = SweepRunner(
             jobs=2, cache=ResultCache(tmp_path / "clean")
         )
@@ -294,22 +306,30 @@ class TestChaosDifferential:
             jobs=2,
             cache=ResultCache(tmp_path / "chaos"),
             policy=_fast_policy(),
-            fault_plan=FaultPlan(
-                seed=0, worker_crash=0.3, cell_error=0.2,
-                cache_corrupt=0.4,
-            ),
+            fault_plan=plan,
         )
         identical, clean_outcomes, faulty_outcomes = differential_sweep(
-            clean,
-            faulty,
-            designs=("Static", "Jumanji"),
-            lc_workloads=("xapian",),
-            loads=("high",),
-            mixes=2,
-            epochs=2,
+            clean, faulty, **sweep
         )
         assert identical
         assert len(clean_outcomes) == 2 * 2
+
+        # Warm pass over a cache with a planted corrupt entry: it is
+        # quarantined and recomputed, and the outcomes stay identical.
+        # The entry is rewritten clean first, since the plan may have
+        # corrupted it already and a second corruption could undo that.
+        key = cell_key(workload_cell("Jumanji", "xapian", "high", 0, 2))
+        faulty.cache.put(key, clean.cache.get(key)["value"], 0.0)
+        _corrupt_entry(faulty.cache, key)
+        warm = SweepRunner(
+            jobs=2,
+            cache=faulty.cache,
+            policy=_fast_policy(),
+            fault_plan=plan,
+        )
+        identical, _, _ = differential_sweep(clean, warm, **sweep)
+        assert identical
+        assert warm.stats.quarantined >= 1
 
 
 @pytest.mark.chaos

@@ -349,25 +349,3 @@ class TestFleetCli:
         plan = payload["scenario"]["fault_plan"]
         assert plan["chip_failure"] == 0.3
         assert payload["scenario"]["rack_size"] == 2
-
-
-class TestFleetBench:
-    def test_fleet_suite_gates_and_writes_report(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "BENCH_fleet.json"
-        rc = main(
-            [
-                "bench", "--suite", "fleet", "--chips", "4",
-                "--epochs", "3", "--output", str(out),
-            ]
-        )
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "determinism.identical_results: True" in text
-        report = json.loads(out.read_text())
-        assert report["suite"] == "fleet"
-        assert report["ok"] is True
-        assert report["determinism"]["identical_results"] is True
-        assert report["chip_epochs_per_s"] > 0
-        assert len(report["runs"]) == 2

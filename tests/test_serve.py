@@ -423,6 +423,25 @@ class TestHttp:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400_naming_header(self, daemon, length):
+        # Raw socket with a client timeout: a handler that trusts the
+        # header either replies 500 or blocks reading to EOF.
+        request = (
+            "POST /v1/sessions HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection(
+            (daemon.host, daemon.port), timeout=3
+        ) as sock:
+            sock.sendall(request)
+            reply = sock.recv(1 << 16)
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0].split()[1] == b"400"
+        body = json.loads(payload)
+        assert body["error"] == "ConfigError"
+        assert "Content-Length" in body["message"]
+
     def test_oversized_body_is_413(self):
         with ServeDaemon(port=0, max_body=256) as small:
             conn = http.client.HTTPConnection(
