@@ -49,6 +49,7 @@ from .chip import (
     small_chip_config,
 )
 from .cluster import (
+    AdmissionIndex,
     ClusterScheduler,
     Fleet,
     FleetEpochStats,
@@ -67,6 +68,7 @@ from .scenarios import Scenario, TenantSpec
 
 __all__ = [
     "HEALTH_STATES",
+    "AdmissionIndex",
     "AdmissionQueue",
     "ClusterScheduler",
     "Fleet",

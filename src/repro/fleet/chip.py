@@ -8,6 +8,13 @@ hundreds of these) and replays the same per-epoch sequence as
 advance each tenant's queueing simulator under the service time its
 current allocation implies, feeding completions back to the controller.
 
+:func:`tick_chips` runs that epoch for many chips at once, as the fleet
+does: every chip reconfigures, one
+:func:`~repro.sim.queueing.advance_epoch_rows` scan advances every
+tenant's queue, then every chip takes its completions. Chips share no
+state, so a chip's epoch is the same alone or in a batch;
+:meth:`FleetChip.tick` is a batch of one.
+
 Unlike ``SystemModel``, whose workload is fixed at construction, a chip
 is *mutable*: tenants are admitted, released, and migrated while the
 runtime (and its controller state) persists. The context builder closes
@@ -31,7 +38,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from ..config import (
     RECONFIG_INTERVAL_CYCLES,
@@ -40,13 +58,17 @@ from ..config import (
     VmSpec,
 )
 from ..core.designs import LlcDesign, make_design
-from ..core.runtime import JumanjiRuntime
-from ..errors import ConfigError
+from ..core.runtime import JumanjiRuntime, ReconfigRecord
+from ..errors import AllocationInvalid, ConfigError
 from ..model.params import DEFAULT_PARAMS
 from ..model.performance import lc_service_cycles, snuca_avg_rtt
 from ..model.workload import WorkloadSpec
 from ..noc.mesh import MeshNoc
-from ..sim.queueing import LcRequestSimulator, percentile
+from ..sim.queueing import (
+    LcRequestSimulator,
+    advance_epoch_rows,
+    percentile,
+)
 from ..workloads.tailbench import get_lc_profile
 
 __all__ = [
@@ -54,6 +76,7 @@ __all__ = [
     "TenantVM",
     "chip_deadline_cycles",
     "small_chip_config",
+    "tick_chips",
 ]
 
 
@@ -188,7 +211,6 @@ class FleetChip:
         # fleet shares one MeshNoc across all same-config chips.
         self.noc = noc if noc is not None else MeshNoc(self.config)
         self.alive = True
-        self.epoch_cycles = RECONFIG_INTERVAL_CYCLES
         self.tenants: Dict[int, TenantVM] = {}
         self._cores: Dict[int, Tuple[int, ...]] = {}
         self._free_cores: List[int] = list(range(self.config.num_cores))
@@ -348,19 +370,31 @@ class FleetChip:
         ``service_factor`` inflates every tenant's queueing service
         time — the fleet sets it above 1.0 while the scenario's
         ``chip_slow`` fault site marks this chip as a straggler.
+
+        This is :func:`tick_chips` on a batch of one chip.
         """
         if not self.alive:
             raise ConfigError(f"chip {self.chip_id} is dead")
         if not self.tenants:
             return {}
+        (outcome,) = tick_chips([self], load_factor, [service_factor])
+        if isinstance(outcome, AllocationInvalid):
+            raise outcome
+        return outcome
+
+    def _prepare(
+        self, load_factor: float, service_factor: float
+    ) -> _EpochPlan:
+        """Reconfigure, then set every tenant's queueing load: its
+        simulator's QPS and its mean service time under the placement."""
         record = self.runtime.reconfigure()
         alloc = record.allocation
         spec = self._context.spec
         assert spec is not None
-        ratios: Dict[int, float] = {}
-        for tid in sorted(self.tenants):
-            vm = self.tenants[tid]
-            app = vm.lc_instance
+        tenants = sorted(self.tenants)
+        services: List[float] = []
+        for tid in tenants:
+            app = self.tenants[tid].lc_instance
             profile = spec.lc_profile(app)
             size = alloc.app_size(app)
             tile = spec.tile_of(app)
@@ -373,28 +407,96 @@ class FleetChip:
                 # successful placement covers it.
                 noc_rtt = snuca_avg_rtt(tile, self.noc)
                 ways = float(self.config.llc_bank_ways)
-            service = (
+            services.append(
                 lc_service_cycles(
                     profile, size, noc_rtt, ways, self.config,
                     spec.params,
                 )
                 * service_factor
             )
-            qps = max(spec.qps_of(app) * load_factor, 1e-6)
-            result = self._sims[tid].run_epoch(
-                self.epoch_cycles, service, qps=qps
+            self._sims[tid].qps = max(
+                spec.qps_of(app) * load_factor, 1e-6
             )
-            lats = list(result.latencies_cycles)
+        return _EpochPlan(self, record, tenants, services)
+
+    def _finish(
+        self, plan: _EpochPlan, rows: Sequence[np.ndarray]
+    ) -> Dict[int, float]:
+        """Report each tenant's completions, take its tail ratio, then
+        check the placement's isolation."""
+        ratios: Dict[int, float] = {}
+        for tid, row in zip(plan.tenants, rows):
             if self.design.uses_feedback:
-                self.runtime.report_latencies(app, lats)
-            if lats:
-                tail = percentile(lats, 95.0)
-                ratios[tid] = tail / self._deadlines[tid]
+                self.runtime.report_latencies(
+                    self.tenants[tid].lc_instance, row
+                )
+            if row.size:
+                ratios[tid] = percentile(row, 95.0) / self._deadlines[tid]
             else:
                 ratios[tid] = 0.0
-        if not record.degraded:
+        if not plan.record.degraded:
+            spec = self._context.spec
+            assert spec is not None
             vm_map = {
                 a: spec.vm_of(a) for v in spec.vms for a in v.apps
             }
-            alloc.validate_isolation(vm_map)
+            plan.record.allocation.validate_isolation(vm_map)
         return ratios
+
+
+class _EpochPlan(NamedTuple):
+    """One chip's reconfigured epoch, ready for the queueing advance."""
+
+    chip: FleetChip
+    record: ReconfigRecord
+    #: Tenant ids in id order, one per simulator to advance.
+    tenants: List[int]
+    services: List[float]
+
+
+def tick_chips(
+    chips: Sequence[FleetChip],
+    load_factor: float,
+    service_factors: Sequence[float],
+) -> List[Union[Dict[int, float], AllocationInvalid]]:
+    """One epoch of many live, occupied chips, in three passes.
+
+    1. **Prepare**, in the given order: each chip reconfigures and sets
+       every tenant's QPS and mean service time.
+    2. **Advance**: one :func:`~repro.sim.queueing.advance_epoch_rows`
+       call moves every tenant of every prepared chip through the epoch.
+    3. **Finish**, in the same order: each chip reports its tenants'
+       completions to its controller, takes their p95 tail ratios and
+       validates its placement's isolation.
+
+    Chips share no state, so each chip's outcome is the one
+    :meth:`FleetChip.tick` gives it alone. A chip whose reconfiguration
+    raises :class:`~repro.errors.AllocationInvalid` is not advanced.
+    Returns one outcome per chip: its ratios, or the
+    ``AllocationInvalid`` its prepare or isolation check raised.
+    """
+    plans: List[Union[_EpochPlan, AllocationInvalid]] = []
+    for chip, factor in zip(chips, service_factors):
+        try:
+            plans.append(chip._prepare(load_factor, factor))
+        except AllocationInvalid as exc:
+            plans.append(exc)
+    ready = [p for p in plans if isinstance(p, _EpochPlan)]
+    rows = advance_epoch_rows(
+        [p.chip._sims[t] for p in ready for t in p.tenants],
+        RECONFIG_INTERVAL_CYCLES,
+        [s for p in ready for s in p.services],
+    )
+    outcomes: List[Union[Dict[int, float], AllocationInvalid]] = []
+    start = 0
+    for plan in plans:
+        if isinstance(plan, AllocationInvalid):
+            outcomes.append(plan)
+            continue
+        stop = start + len(plan.tenants)
+        try:
+            outcomes.append(plan.chip._finish(plan, rows[start:stop]))
+        except AllocationInvalid as exc:
+            outcomes.append(exc)
+        start = stop
+    return outcomes

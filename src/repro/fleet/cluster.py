@@ -25,10 +25,16 @@ epoch loop per 100 ms tick:
    into a bounded pending queue with per-tenant patience
    (``fleet.deferred``) instead of silently dropped; patience expiry
    and queue overflow are counted as ``fleet.rejections``;
-6. **ticks** — every live socket runs its own Jumanji reconfiguration
-   and queueing epoch under the diurnal load factor; tail/deadline
-   ratios feed the fleet p95 histogram (``fleet.lc_tail_vs_deadline``)
-   and the SLA accounting;
+6. **ticks** — every live socket runs its own Jumanji epoch under the
+   diurnal load factor, in three passes over the occupied chips
+   (:func:`~repro.fleet.chip.tick_chips`): *prepare* reconfigures each
+   chip in id order and sets every tenant's QPS and service time;
+   *advance* moves every tenant of every chip through the epoch in one
+   batched queueing scan; *finish* walks the chips in id order again,
+   feeding completions to each controller, taking each tenant's p95,
+   and checking each placement's isolation. Tail/deadline ratios feed
+   the fleet p95 histogram (``fleet.lc_tail_vs_deadline``) and the SLA
+   accounting;
 7. **migrations** — a tenant violating its SLA for
    ``migration_patience`` consecutive epochs is moved (queueing backlog
    and all) to the least-loaded other socket with room
@@ -41,9 +47,15 @@ tenant on exactly one live chip, registry and chips agreeing), capacity
 (no chip over its core or bank budget), and the deferred-arrival ledger
 (``arrivals == admissions + pending + rejections`` and ``admissions ==
 resident + departures + vms_lost``) — and every fresh per-chip
-placement is isolation-checked in :meth:`FleetChip.tick`. Violations
-are collected into the result (and make :attr:`FleetResult.ok` false)
-rather than silently dropped.
+placement is isolation-checked in the finish pass of step 6.
+Violations are collected into the result, in chip order (and make
+:attr:`FleetResult.ok` false), rather than silently dropped.
+
+Admission, rescheduling and migration all go through
+:meth:`ClusterScheduler.select`, which walks the fleet's
+:class:`AdmissionIndex` (live chips per health tier, emptiest first)
+instead of ranking every chip per arrival; the fleet refiles a chip in
+it whenever the chip's free cores, liveness or health change.
 
 Determinism contract: :class:`FleetResult` contains no wall-clock and
 no unordered iteration — two same-seed runs serialise byte-identically
@@ -54,16 +66,17 @@ bytes.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .. import obs
 from ..config import SystemConfig
 from ..errors import AllocationInvalid, ConfigError
 from ..noc.mesh import MeshNoc
 from ..sim.queueing import percentile
-from .chip import FleetChip, TenantVM, small_chip_config
+from .chip import FleetChip, TenantVM, small_chip_config, tick_chips
 from .resilience import (
     AdmissionQueue,
     FleetJournal,
@@ -74,6 +87,7 @@ from .resilience import (
 from .scenarios import Scenario, TenantSpec
 
 __all__ = [
+    "AdmissionIndex",
     "ClusterScheduler",
     "Fleet",
     "FleetEpochStats",
@@ -104,6 +118,60 @@ FLEET_COUNTERS = (
 )
 
 
+class AdmissionIndex:
+    """Live chips in admission order, one list per health tier.
+
+    Each list holds ``(-free_cores, chip_id)`` keys in sorted order, so
+    it runs from the emptiest chip to the fullest, ties toward the
+    lowest id. A chip is in the degraded list while its health state is
+    ``degraded`` and in the healthy list otherwise; dead chips are in
+    neither. The owner calls :meth:`refile` after every change to a
+    chip's free cores, liveness or health state (admit, release, fail,
+    repair, health transition).
+    """
+
+    def __init__(
+        self,
+        chips: List[FleetChip],
+        health: Optional[HealthTracker] = None,
+    ):
+        self._health = health
+        #: ``(healthy, degraded)`` sorted key lists.
+        self._tiers: Tuple[List[Tuple[int, int]], ...] = ([], [])
+        #: chip id -> (tier, key) it is filed under.
+        self._filed: Dict[int, Tuple[int, Tuple[int, int]]] = {}
+        self._chips: Dict[int, FleetChip] = {}
+        for chip in chips:
+            self.refile(chip)
+
+    def refile(self, chip: FleetChip) -> None:
+        """File ``chip`` under its current free cores and health."""
+        old = self._filed.pop(chip.chip_id, None)
+        if old is not None:
+            tier, key = old
+            keys = self._tiers[tier]
+            del keys[bisect.bisect_left(keys, key)]
+            del self._chips[chip.chip_id]
+        if not chip.alive:
+            return
+        tier = int(
+            self._health is not None
+            and self._health.state(chip.chip_id) == "degraded"
+        )
+        key = (-chip.free_cores, chip.chip_id)
+        bisect.insort(self._tiers[tier], key)
+        self._filed[chip.chip_id] = (tier, key)
+        self._chips[chip.chip_id] = chip
+
+    def candidates(self, degraded: bool, cores: int) -> Iterator[FleetChip]:
+        """Chips of one tier with at least ``cores`` free, emptiest
+        first."""
+        for neg_free, chip_id in self._tiers[degraded]:
+            if -neg_free < cores:
+                return
+            yield self._chips[chip_id]
+
+
 class ClusterScheduler:
     """Health- and topology-aware least-loaded-first placement.
 
@@ -115,6 +183,10 @@ class ClusterScheduler:
     free cores wins in id order, so ties break toward the lowest chip
     id. With no health tracker or rack information every chip lands in
     the first tier and the behaviour is the original least-loaded scan.
+
+    Each tier is walked in an :class:`AdmissionIndex`'s order and stops
+    at the first chip that can admit the tenant, so an admission costs
+    the chips it skips, not the fleet size.
     """
 
     def select(
@@ -125,35 +197,30 @@ class ClusterScheduler:
         avoid_chips: FrozenSet[int] = frozenset(),
         avoid_racks: FrozenSet[int] = frozenset(),
         rack_of=None,
+        index: Optional[AdmissionIndex] = None,
     ) -> Optional[FleetChip]:
         """The chip to place ``vm`` on, or ``None`` if the fleet is full.
 
         ``avoid_chips`` is a hard exclusion (anti-bounce); ``avoid_racks``
         (requires ``rack_of``) and health degradation are soft — the
         scheduler falls back to worse tiers when nothing better fits.
+        ``index`` is the caller's up-to-date index over ``chips`` and
+        ``health``; without one, a fresh index is built for this call.
         """
-        tiers: List[List[FleetChip]] = [[], [], [], []]
-        for chip in chips:
-            if chip.chip_id in avoid_chips:
-                continue
-            avoided = (
-                rack_of is not None
-                and rack_of(chip.chip_id) in avoid_racks
-            )
-            degraded = (
-                health is not None
-                and health.state(chip.chip_id) == "degraded"
-            )
-            tiers[2 * avoided + degraded].append(chip)
-        for tier in tiers:
-            best: Optional[FleetChip] = None
-            for chip in tier:
-                if not chip.can_admit(vm):
-                    continue
-                if best is None or chip.free_cores > best.free_cores:
-                    best = chip
-            if best is not None:
-                return best
+        if index is None:
+            index = AdmissionIndex(chips, health)
+        racks = rack_of is not None and bool(avoid_racks)
+        for avoided in (False, True) if racks else (False,):
+            for degraded in (False, True):
+                for chip in index.candidates(degraded, vm.cores_needed):
+                    if chip.chip_id in avoid_chips:
+                        continue
+                    if racks and (
+                        (rack_of(chip.chip_id) in avoid_racks) != avoided
+                    ):
+                        continue
+                    if chip.can_admit(vm):
+                        return chip
         return None
 
 
@@ -258,6 +325,8 @@ class Fleet:
         self.health = HealthTracker(
             scenario.chips, history_limit=history_limit
         )
+        #: The scheduler's view of the chips, refiled on every change.
+        self._index = AdmissionIndex(self.chips, self.health)
         self.pending = AdmissionQueue(scenario.pending_limit)
         self.counters: Dict[str, int] = {c: 0 for c in FLEET_COUNTERS}
         #: tenant id -> chip id, the scheduler's source of truth.
@@ -334,6 +403,7 @@ class Fleet:
             self.chips,
             health=self.health,
             rack_of=self.scenario.rack_of,
+            index=self._index,
         )
         if chip is None:
             return False
@@ -342,6 +412,7 @@ class Fleet:
             "fleet.admit", tenant=vm.tenant_id, chip=chip.chip_id
         ):
             chip.admit(vm)
+        self._index.refile(chip)
         self.tenant_chip[vm.tenant_id] = chip.chip_id
         self._tenant_meta[vm.tenant_id] = vm
         self._count("admissions")
@@ -387,6 +458,7 @@ class Fleet:
             health=self.health,
             avoid_racks=avoid_racks,
             rack_of=self.scenario.rack_of,
+            index=self._index,
         )
         if chip is None:
             # Nowhere to go: the tenant is lost, loudly — vms_lost is
@@ -403,6 +475,7 @@ class Fleet:
             rescheduled=True,
         ):
             chip.admit(vm)
+        self._index.refile(chip)
         self.tenant_chip[vm.tenant_id] = chip.chip_id
         self._count("vms_rescheduled")
         return True
@@ -426,6 +499,7 @@ class Fleet:
             health=self.health,
             avoid_chips=frozenset(avoid),
             rack_of=self.scenario.rack_of,
+            index=self._index,
         )
         if target is None:
             self._count("migration_rejected")
@@ -438,6 +512,8 @@ class Fleet:
         ):
             _, sim = src.release(tenant_id)
             target.admit(vm, sim=sim)
+        self._index.refile(src)
+        self._index.refile(target)
         self.tenant_chip[tenant_id] = target.chip_id
         self._last_migration[tenant_id] = (src.chip_id, epoch)
         self._count("migrations")
@@ -472,6 +548,7 @@ class Fleet:
                     self._incarnations[chip_id] += 1
                     self.chips[chip_id] = self._build_chip(chip_id)
                 self.health.set_state(chip_id, epoch, "healthy")
+                self._index.refile(self.chips[chip_id])
                 self._repaired.add(chip_id)
                 self._count("repairs")
             # 1. Correlated chip failures. A rack dies as one event:
@@ -492,6 +569,7 @@ class Fleet:
                 else:
                     self._repair_at[chip_id] = epoch + delay
                     self.health.set_state(chip_id, epoch, "repairing")
+                self._index.refile(chip)
                 self._count("chips_lost")
             for vm in displaced:
                 del self.tenant_chip[vm.tenant_id]
@@ -504,13 +582,12 @@ class Fleet:
                 if self.chips[chip_id].alive
             }
             for chip in self.chips:
-                if not chip.alive:
-                    continue
-                self.health.set_state(
+                if chip.alive and self.health.set_state(
                     chip.chip_id,
                     epoch,
                     "degraded" if chip.chip_id in slow else "healthy",
-                )
+                ):
+                    self._index.refile(chip)
             # 3. Re-place the displaced, off the failed racks when
             #    capacity allows.
             avoid_racks = frozenset(failed_racks)
@@ -522,33 +599,33 @@ class Fleet:
                 if vm.departs_at <= epoch:
                     chip = self.chips[self.tenant_chip.pop(tenant_id)]
                     chip.release(tenant_id)
+                    self._index.refile(chip)
                     self._tenant_meta.pop(tenant_id)
                     self._forget_tenant(tenant_id)
                     self._count("departures")
             # 5. Admission control: expiries, deferred retries, then
             #    this epoch's Poisson arrivals (flash-boosted).
             self._run_admission(epoch)
-            # 6. Per-socket Jumanji epochs under the diurnal load;
-            #    stragglers serve inflated service times.
+            # 6. Per-socket Jumanji epochs under the diurnal load, as
+            #    one batch: stragglers serve inflated service times.
             load = sc.load_factor(epoch)
             ratios: Dict[int, float] = {}
-            for chip in self.chips:
-                if not chip.alive or not chip.tenants:
-                    continue
-                factor = (
-                    sc.slow_service_factor
-                    if chip.chip_id in slow
-                    else 1.0
-                )
-                try:
-                    chip_ratios = chip.tick(epoch, load, factor)
-                except AllocationInvalid as exc:
+            ticking = [
+                chip for chip in self.chips if chip.alive and chip.tenants
+            ]
+            factors = [
+                sc.slow_service_factor if chip.chip_id in slow else 1.0
+                for chip in ticking
+            ]
+            outcomes = tick_chips(ticking, load, factors)
+            for chip, outcome in zip(ticking, outcomes):
+                if isinstance(outcome, AllocationInvalid):
                     self._violations.append(
                         f"epoch {epoch}: chip {chip.chip_id} broke "
-                        f"isolation: {exc}"
+                        f"isolation: {outcome}"
                     )
                     continue
-                ratios.update(chip_ratios)
+                ratios.update(outcome)
             # 7. SLA accounting + strike-driven migrations.
             for tenant_id in sorted(ratios):
                 ratio = min(ratios[tenant_id], RATIO_CLAMP)
@@ -620,7 +697,7 @@ class Fleet:
         ``arrivals == admissions + pending + rejections`` — and every
         admission is resident, departed, or explicitly lost —
         ``admissions == resident + departures + vms_lost``. (Isolation
-        is validated per-placement inside :meth:`FleetChip.tick`.)
+        is validated per placement in :func:`~repro.fleet.chip.tick_chips`.)
         """
         problems: List[str] = []
         seen: Dict[int, int] = {}

@@ -25,7 +25,11 @@ cumulative-max scan (the Lindley recurrence in "u-transform" form::
     completion_i = u_i + S_i
 
 which is a ``cumsum`` + ``maximum.accumulate`` instead of a per-request
-Python loop). The scalar implementation is frozen as
+Python loop). :func:`advance_epoch_batch` runs the same scan for many
+simulators as rows of one padded matrix (the model engine's mixes);
+:func:`advance_epoch_rows` scans very ragged backlogs (a fleet's
+tenants) in bounded blocks of similar widths. The scalar implementation
+is frozen as
 :class:`repro.model.reference.ReferenceLcRequestSimulator`, which
 consumes the *same* variate streams one value at a time and computes the
 same recurrence scalar-wise — the two are differentially tested to be
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +60,7 @@ __all__ = [
     "QueueSimResult",
     "LcRequestSimulator",
     "advance_epoch_batch",
+    "advance_epoch_rows",
     "nearest_rank",
     "percentile",
     "run_epoch_batch",
@@ -194,7 +199,9 @@ class LcRequestSimulator:
         )
         self._now = 0.0
         # Requests that have arrived but not completed: arrival times.
-        self._backlog: List[float] = []
+        # The fast path keeps them as a float array once it queues any;
+        # the scalar reference appends to the list.
+        self._backlog: Union[List[float], np.ndarray] = []
 
     def _init_streams(self, seed: int) -> None:
         """(Re)build the interarrival and service variate streams."""
@@ -221,7 +228,7 @@ class LcRequestSimulator:
         """Requests currently waiting or in service."""
         return len(self._backlog)
 
-    def _generate_arrivals(self, epoch_end: float) -> List[float]:
+    def _generate_arrivals(self, epoch_end: float) -> np.ndarray:
         """All arrival times in ``(previous epochs, epoch_end]``.
 
         Arrival ``j`` past the pending one is ``base + cumsum(v)[j]``
@@ -234,7 +241,7 @@ class LcRequestSimulator:
         """
         base = self._next_arrival
         if base > epoch_end:
-            return []
+            return np.empty(0)
         scale = CORE_FREQ_HZ / self.qps
         # Expected count plus slack; grow geometrically if the draw runs
         # short (the cumsum is recomputed over the full peeked prefix, so
@@ -247,7 +254,9 @@ class LcRequestSimulator:
             want *= 2
         candidates = base + offsets
         m = int(np.searchsorted(candidates, epoch_end, side="right"))
-        arrivals = [base] + candidates[:m].tolist()
+        arrivals = np.empty(m + 1)
+        arrivals[0] = base
+        arrivals[1:] = candidates[:m]
         self._arrivals.advance(m + 1)
         self._next_arrival = float(candidates[m])
         return arrivals
@@ -258,8 +267,8 @@ class LcRequestSimulator:
         variates are still consumed)."""
         arrivals = self._generate_arrivals(epoch_end)
         room = self.max_backlog - len(self._backlog)
-        if room > 0:
-            self._backlog.extend(arrivals[:room])
+        if room > 0 and arrivals.size:
+            self._backlog = np.concatenate((self._backlog, arrivals[:room]))
         return len(self._backlog)
 
     def run_epoch(
@@ -332,7 +341,7 @@ class LcRequestSimulator:
                 if on_complete is not None:
                     for latency in latencies:
                         on_complete(latency)
-                self._backlog = self._backlog[n_done:]
+                self._backlog = self._backlog[n_done:].copy()
         self._now = epoch_end
 
         utilization = (
@@ -364,32 +373,12 @@ class LcRequestSimulator:
         )
 
 
-def advance_epoch_batch(
+def _check_batch(
     sims: Sequence[LcRequestSimulator],
     duration_cycles: float,
     mean_services: Sequence[float],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Advance many simulators one epoch with a single Lindley scan.
-
-    The batch axis of the accelerated engine: every simulator's backlog
-    is padded into one ``(sims, requests)`` matrix and the ``cumsum`` /
-    ``maximum.accumulate`` u-transform runs once along ``axis=1``.
-    numpy's row-wise scans perform exactly the per-element IEEE
-    operations of the 1-D scan in :meth:`LcRequestSimulator.run_epoch`,
-    and each simulator's variate streams are consumed exactly as there
-    (arrivals per-stream, services peeked for the full backlog and
-    advanced by the started count), so per-simulator results are
-    bit-identical to running each epoch separately — the property
-    ``tests/test_model_batch.py`` pins across ragged backlog sizes.
-
-    Returns ``(latencies, done)``: row ``i`` of the ``(sims, width)``
-    latency matrix holds simulator ``i``'s completions this epoch in its
-    first ``done[i]`` cells (arrival to completion, in completion
-    order); the cells after them are padding. Ragged rows are padded on
-    the right and scans are left-to-right, so padding never reaches a
-    live prefix; a row with no queued request starts and completes
-    nothing, as the scalar path does.
-    """
+) -> Tuple[List[LcRequestSimulator], List[float]]:
+    """The batch as lists, after the checks ``run_epoch`` makes."""
     if duration_cycles <= 0:
         raise ValueError("duration must be positive")
     sims = list(sims)
@@ -399,19 +388,27 @@ def advance_epoch_batch(
     for mean in means:
         if mean <= 0:
             raise ValueError("service time must be positive")
+    return sims, means
 
-    # Arrivals are per stream: each stream's peek grows with its own
-    # draws.
-    ends = [sim._now + duration_cycles for sim in sims]
-    counts = [sim._admit(end) for sim, end in zip(sims, ends)]
+
+def _scan(
+    sims: Sequence[LcRequestSimulator],
+    counts: Sequence[int],
+    means: Sequence[float],
+    ends: Sequence[float],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One padded Lindley scan over admitted simulators.
+
+    Every simulator has already queued its arrivals (``counts`` is each
+    backlog's length, at least one somewhere). Fills the ``(sims,
+    max(counts))`` arrival and service matrices, runs the u-transform
+    along ``axis=1``, and moves each simulator past the epoch exactly as
+    :meth:`LcRequestSimulator.run_epoch` does. Returns ``(completions,
+    arrivals, done)``: row ``i``'s first ``done[i]`` cells of
+    ``completions - arrivals`` are its latencies this epoch.
+    """
     nsims = len(sims)
-    width = max(counts, default=0)
-    done = np.zeros(nsims, dtype=np.int64)
-    if not width:
-        # Nothing queued anywhere (so nothing arrived either).
-        for sim, end in zip(sims, ends):
-            sim._now = end
-        return np.zeros((nsims, 0)), done
+    width = max(counts)
     a = np.zeros((nsims, width))
     s = np.zeros((nsims, width))
     free = np.empty(nsims)
@@ -446,17 +443,110 @@ def advance_epoch_batch(
     done = ((completions <= end_arr) & (col < started[:, None])).sum(
         axis=1
     )
-    for r, (sim, n, ns, nd) in enumerate(
-        zip(sims, counts, started.tolist(), done.tolist())
+    for r, (sim, ns, nd) in enumerate(
+        zip(sims, started.tolist(), done.tolist())
     ):
         if sim._services is not None:
             sim._services.advance(ns)
         if ns:
             sim._server_free_at = float(completions[r, ns - 1])
         if nd:
-            sim._backlog = sim._backlog[nd:]
+            sim._backlog = sim._backlog[nd:].copy()
         sim._now = ends[r]
+    return completions, a, done
+
+
+def advance_epoch_batch(
+    sims: Sequence[LcRequestSimulator],
+    duration_cycles: float,
+    mean_services: Sequence[float],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Advance many simulators one epoch with a single Lindley scan.
+
+    The batch axis of the accelerated engine: every simulator's backlog
+    is padded into one ``(sims, requests)`` matrix and the ``cumsum`` /
+    ``maximum.accumulate`` u-transform runs once along ``axis=1``.
+    numpy's row-wise scans perform exactly the per-element IEEE
+    operations of the 1-D scan in :meth:`LcRequestSimulator.run_epoch`,
+    and each simulator's variate streams are consumed exactly as there
+    (arrivals per-stream, services peeked for the full backlog and
+    advanced by the started count), so per-simulator results are
+    bit-identical to running each epoch separately — the property
+    ``tests/test_model_batch.py`` pins across ragged backlog sizes.
+
+    Returns ``(latencies, done)``: row ``i`` of the ``(sims, width)``
+    latency matrix holds simulator ``i``'s completions this epoch in its
+    first ``done[i]`` cells (arrival to completion, in completion
+    order); the cells after them are padding. Ragged rows are padded on
+    the right and scans are left-to-right, so padding never reaches a
+    live prefix; a row with no queued request starts and completes
+    nothing, as the scalar path does.
+    """
+    sims, means = _check_batch(sims, duration_cycles, mean_services)
+    # Arrivals are per stream: each stream's peek grows with its own
+    # draws.
+    ends = [sim._now + duration_cycles for sim in sims]
+    counts = [sim._admit(end) for sim, end in zip(sims, ends)]
+    if not any(counts):
+        # Nothing queued anywhere (so nothing arrived either).
+        for sim, end in zip(sims, ends):
+            sim._now = end
+        return np.zeros((len(sims), 0)), np.zeros(len(sims), np.int64)
+    completions, a, done = _scan(sims, counts, means, ends)
     return completions - a, done
+
+
+#: Padded cells per scan of :func:`advance_epoch_rows` (a row wider
+#: than this is scanned alone). Blocks this size keep the scan's
+#: temporaries a few hundred KB however ragged the backlogs are.
+_BLOCK_CELLS = 8192
+
+
+def advance_epoch_rows(
+    sims: Sequence[LcRequestSimulator],
+    duration_cycles: float,
+    mean_services: Sequence[float],
+) -> List[np.ndarray]:
+    """Advance many simulators one epoch; each one's latencies as a row.
+
+    :func:`advance_epoch_batch` for backlogs of very different lengths,
+    where one padded matrix would be mostly padding. Every simulator
+    queues its arrivals first; the rows are then sorted by backlog
+    length and scanned in blocks of similar widths, each at most
+    ``_BLOCK_CELLS`` padded cells. Row ``i`` of the result is a copy of
+    simulator ``i``'s completed prefix (arrival to completion, in
+    completion order), bit-identical to the latencies its own
+    :meth:`~LcRequestSimulator.run_epoch` would return, and its variate
+    streams end at the same positions.
+    """
+    sims, means = _check_batch(sims, duration_cycles, mean_services)
+    ends = [sim._now + duration_cycles for sim in sims]
+    counts = [sim._admit(end) for sim, end in zip(sims, ends)]
+    rows: List[np.ndarray] = [np.empty(0)] * len(sims)
+    order = sorted(range(len(sims)), key=counts.__getitem__)
+    lo = 0
+    while lo < len(order) and not counts[order[lo]]:
+        # Nothing queued: the epoch passes with no start or completion.
+        sims[order[lo]]._now = ends[order[lo]]
+        lo += 1
+    while lo < len(order):
+        hi = lo + 1
+        while (
+            hi < len(order)
+            and (hi + 1 - lo) * counts[order[hi]] <= _BLOCK_CELLS
+        ):
+            hi += 1
+        block = order[lo:hi]
+        completions, a, done = _scan(
+            [sims[i] for i in block],
+            [counts[i] for i in block],
+            [means[i] for i in block],
+            [ends[i] for i in block],
+        )
+        for r, (i, nd) in enumerate(zip(block, done.tolist())):
+            rows[i] = completions[r, :nd] - a[r, :nd]
+        lo = hi
+    return rows
 
 
 def run_epoch_batch(

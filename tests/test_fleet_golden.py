@@ -19,6 +19,7 @@ queueing arithmetic, or the controller fails loudly here, mirroring
     PYTHONPATH=src python tests/test_fleet_golden.py
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -118,6 +119,42 @@ class TestFleetGolden:
             "vms_lost",
             "repairs",
         } <= nonzero
+
+
+#: The benchmark's fleet-churn scenario shrunk to 32 chips x 8 epochs:
+#: arrivals at chips/32, flash crowds, rack failures that are always
+#: repaired, and stragglers. Seed 2 loses and repairs chips, so the
+#: reschedule and repair paths run.
+BENCH_SHAPED = Scenario(
+    chips=32,
+    epochs=8,
+    seed=2,
+    arrival_rate=32 / 32,
+    flash_prob=0.1,
+    fault_plan=FaultPlan(
+        seed=2,
+        chip_failure=0.02,
+        chip_repair=1.0,
+        chip_slow=0.05,
+        repair_mttr_epochs=3.0,
+    ),
+)
+
+#: sha256 of ``run_fleet(BENCH_SHAPED).to_json()``. Unlike the golden
+#: above (floats within 1e-9), this pins every byte, so any change to
+#: the order or arithmetic of the fleet epoch shows.
+BENCH_SHAPED_SHA256 = (
+    "48308c5ebebe476bd4a675212b60315c644d0297fd71027f71f91ee0bf0424fc"
+)
+
+
+def test_bench_shaped_run_is_byte_pinned():
+    result = run_fleet(BENCH_SHAPED)
+    assert result.ok
+    assert result.counters["repairs"] > 0
+    assert result.counters["vms_rescheduled"] > 0
+    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+    assert digest == BENCH_SHAPED_SHA256
 
 
 def _regenerate() -> None:

@@ -23,7 +23,12 @@ from repro.model.api import run_model
 from repro.model.batch import BatchSystemModel
 from repro.model.system import SystemModel
 from repro.model.workload import make_default_workload
-from repro.sim.queueing import LcRequestSimulator, run_epoch_batch
+from repro.sim import queueing
+from repro.sim.queueing import (
+    LcRequestSimulator,
+    advance_epoch_rows,
+    run_epoch_batch,
+)
 
 EPOCH = 250_000.0  # cycles; small epochs keep hypothesis cases fast
 
@@ -148,6 +153,79 @@ class TestBatchKernelEquivalence:
             run_epoch_batch([sim], EPOCH, [1.0, 2.0])
         with pytest.raises(ValueError, match="service time"):
             run_epoch_batch([sim], EPOCH, [0.0])
+
+
+class TestBlockedRowsKernel:
+    """advance_epoch_rows == per-sim run_epoch on ragged backlogs."""
+
+    #: (qps, cv, seed): one overloaded stream whose backlog grows far
+    #: past the rest, idle streams that queue nothing, and mid-sized
+    #: ones in between.
+    STREAMS = (
+        (200_000.0, 0.4, 1),
+        (0.01, 0.4, 2),
+        (4_000.0, 0.0, 3),
+        (0.01, 0.0, 4),
+        (20_000.0, 1.0, 5),
+        (9_000.0, 0.2, 6),
+        (0.01, 1.0, 7),
+        (30_000.0, 0.4, 8),
+    )
+
+    def _sims(self):
+        return [
+            LcRequestSimulator(qps=q, service_cv=cv, seed=seed)
+            for q, cv, seed in self.STREAMS
+        ]
+
+    @pytest.mark.parametrize("block", [64, 700, 8192])
+    def test_rows_match_run_epoch_bit_for_bit(self, monkeypatch, block):
+        # Small blocks split the batch at several widths; the default
+        # one puts the overloaded stream in a block of its own.
+        monkeypatch.setattr(queueing, "_BLOCK_CELLS", block)
+        batched, sequential = self._sims(), self._sims()
+        means = [40_000.0, 500.0, 20_000.0, 500.0,
+                 30_000.0, 25_000.0, 500.0, 15_000.0]
+        for epoch in range(6):
+            load = 1.0 + 0.25 * (epoch % 3)
+            for b in batched:
+                b.qps = b.qps * load
+            rows = advance_epoch_rows(batched, EPOCH, means)
+            want = [
+                s.run_epoch(EPOCH, m, qps=s.qps * load)
+                for s, m in zip(sequential, means)
+            ]
+            assert len(rows) == len(want)
+            for row, w in zip(rows, want):
+                assert row.ndim == 1
+                assert row.tolist() == w.latencies_cycles
+            for b, s in zip(batched, sequential):
+                assert _sim_state(b) == _sim_state(s)
+                assert b._arrivals.peek(4).tolist() == (
+                    s._arrivals.peek(4).tolist()
+                )
+                if b._services is not None:
+                    assert b._services.peek(4).tolist() == (
+                        s._services.peek(4).tolist()
+                    )
+        depths = [s.queue_depth for s in sequential]
+        assert max(depths) > 20 * sorted(depths)[-2]
+        assert sum(1 for r in rows if not r.size) >= 3
+
+    def test_rows_are_prefix_copies(self):
+        rows = advance_epoch_rows(self._sims(), EPOCH, [1000.0] * 8)
+        for row in rows:
+            assert row.base is None
+
+    def test_empty_and_bad_inputs(self):
+        assert advance_epoch_rows([], EPOCH, []) == []
+        sim = LcRequestSimulator(qps=100.0)
+        with pytest.raises(ValueError, match="duration"):
+            advance_epoch_rows([sim], 0.0, [1.0])
+        with pytest.raises(ValueError, match="one mean"):
+            advance_epoch_rows([sim], EPOCH, [1.0, 2.0])
+        with pytest.raises(ValueError, match="service time"):
+            advance_epoch_rows([sim], EPOCH, [0.0])
 
 
 def _workloads(mix_seeds, lc="xapian", load="high"):
