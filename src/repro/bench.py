@@ -353,11 +353,8 @@ def run_model_bench(
     from .core.designs import make_design
     from .experiments.common import DEFAULT_DESIGNS, run_seed
     from .model.batch import BatchSystemModel
-    from .model.system import (
-        SystemModel,
-        compute_deadline_cycles,
-        deadline_cache_info,
-    )
+    from .model.reference import ReferenceSystemModel
+    from .model.system import compute_deadline_cycles, deadline_cache_info
     from .model.workload import make_default_workload
     from .workloads.mixes import base_app
 
@@ -392,11 +389,10 @@ def run_model_bench(
 
     def reference_pass(design_name: str, mix_seed: int):
         """One timed scalar reference run of one mix."""
-        model = SystemModel(
+        model = ReferenceSystemModel(
             make_design(design_name),
             make_default_workload([lc_workload], mix_seed=mix_seed, load=load),
             seed=run_seed(0, mix_seed),
-            engine="reference",
         )
         start = time.perf_counter()
         result = model.run(epochs)

@@ -14,7 +14,7 @@ rate even when way-partitioning keeps their data apart.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 __all__ = [
     "ReplacementPolicy",

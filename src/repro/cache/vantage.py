@@ -23,7 +23,7 @@ over-target partitions first, choosing within a partition by LRU.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["VantageBank"]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConfigError
@@ -208,11 +208,11 @@ class Engine:
     :mod:`repro.model.reference` and :mod:`repro.sim.reference`, the
     dict-of-dicts allocation oracle
     (:mod:`repro.model.reference_allocation`) and the scalar epoch loop
-    of :class:`repro.model.system.SystemModel`. The two are
-    differentially tested to be bit-identical.
-    ``PlacementContext.engine``, ``SystemModel(engine=...)``, and the
-    trace-sim cells all validate through :meth:`validate`, so an
-    unknown literal fails the same way everywhere.
+    of :class:`repro.model.reference.ReferenceSystemModel`. The two are
+    differentially tested to be bit-identical. Each model class names
+    its engine; ``PlacementContext.engine``, ``run_model(engine=...)``
+    and the trace-sim cells all validate through :meth:`validate`, so
+    an unknown literal fails the same way everywhere.
     """
 
     FAST = "fast"

@@ -11,7 +11,7 @@ same ``allocate(ctx) -> Allocation`` interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..cache.misscurve import MissCurve
 from ..config import Engine, SystemConfig, VmSpec

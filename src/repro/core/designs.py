@@ -22,9 +22,8 @@ Every design maps a :class:`~repro.core.context.PlacementContext` to an
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..config import SystemConfig
 from .allocation import Allocation
 from .context import PlacementContext
 from .jigsaw import jigsaw_place, place_sizes_near_tiles

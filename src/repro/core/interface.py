@@ -17,7 +17,7 @@ runtime directly for speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 __all__ = ["TrustDomain", "JumanjiSyscalls", "RequestToken"]

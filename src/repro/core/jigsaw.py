@@ -18,9 +18,8 @@ sensitivity design.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..cache.misscurve import MissCurve
 from .allocation import Allocation
 from .context import PlacementContext
 from .lookahead import lookahead

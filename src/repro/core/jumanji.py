@@ -14,8 +14,7 @@ The placement runs every 100 ms and has three tiers:
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Mapping
 
 import numpy as np
 

@@ -10,7 +10,7 @@ how Jumanji prioritises deadlines over data movement.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Mapping, Optional
 
 from .. import obs
 from ..errors import LlcFull

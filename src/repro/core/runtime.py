@@ -46,12 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..config import (
-    CORE_FREQ_HZ,
-    RECONFIG_INTERVAL_CYCLES,
-    ControllerConfig,
-    SystemConfig,
-)
+from ..config import RECONFIG_INTERVAL_CYCLES, ControllerConfig, SystemConfig
 from ..errors import LlcFull, PlacementFailed, TelemetryInvalid
 from ..vtb.vtb import PlacementDescriptor, Vtb
 from .allocation import Allocation

@@ -21,7 +21,7 @@ farther out.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..config import SystemConfig
 from ..noc.mesh import MeshNoc

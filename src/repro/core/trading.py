@@ -27,9 +27,8 @@ rarely the case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
-from ..config import SystemConfig
 from ..workloads.tailbench import (
     BANK_LATENCY_CYCLES,
     LatencyCriticalProfile,

@@ -10,9 +10,8 @@ per-VM bank ownership.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
-from ..config import SystemConfig
 from ..core.allocation import Allocation
 
 __all__ = ["render_chip", "render_design_comparison"]

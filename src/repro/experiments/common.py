@@ -24,7 +24,7 @@ from ..config import Engine, SystemConfig
 from ..metrics.speedup import gmean, weighted_speedup
 from ..model.batch import BatchSystemModel
 from ..model.system import RunResult, _run_design
-from ..model.workload import WorkloadSpec, make_default_workload
+from ..model.workload import make_default_workload
 from ..noc.energy import EnergyBreakdown
 from ..runner import (
     Cell,

@@ -18,10 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
 from ..config import RECONFIG_INTERVAL_CYCLES, SystemConfig
-from ..model.params import DEFAULT_PARAMS
 from ..model.performance import snuca_avg_rtt
 from ..noc.mesh import MeshNoc
 from ..sim.attack import run_leakage_experiment

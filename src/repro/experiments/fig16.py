@@ -11,7 +11,7 @@ isolation is nearly free and the greedy placement is nearly ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .common import LC_WORKLOADS, PAPER, SweepResult, run_sweep
 

@@ -10,7 +10,7 @@ bank to exactly one VM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Sequence
 
 from ..core.allocation import Allocation
 from ..core.designs import make_design

@@ -11,7 +11,7 @@ space to meet the deadline and its worst case is far below S-NUCA's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..config import RECONFIG_INTERVAL_CYCLES, SystemConfig
 from ..model.params import DEFAULT_PARAMS

@@ -15,7 +15,7 @@ section:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 __all__ = ["bar_chart", "box_row", "sparkline", "xy_plot"]
 

@@ -11,7 +11,7 @@ of per-app IPC ratios, and gmean aggregates across workload mixes.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, Mapping
 
 __all__ = ["weighted_speedup", "gmean", "normalize"]
 

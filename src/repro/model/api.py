@@ -25,11 +25,11 @@ performance knob.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from ..config import ControllerConfig, Engine, SystemConfig
 from ..errors import ConfigError
-from .system import RunResult, _run_design
+from .system import _run_design
 from .workload import WorkloadSpec
 
 __all__ = ["run_model"]

@@ -1,7 +1,7 @@
 """The accelerated epoch engine: one design over a batch of mixes.
 
 Sweeps evaluate one design against many workload mixes, and every
-accelerated run is such a batch: ``SystemModel(engine="fast").run`` and
+accelerated run is such a batch: ``SystemModel.run`` and
 ``run_model(workload=...)`` are batches of one, and the sweep runner
 runs each chunk of same-design cells as one batch (mixes may differ in
 LC apps and load). A :class:`BatchSystemModel` drives all its mixes in
@@ -31,8 +31,9 @@ performs, per element, the IEEE operations of the scalar code it
 replaces, in the same order; the transcendental terms (miss curves)
 still call ``math.exp`` once per element. So every per-mix
 :class:`~repro.model.system.RunResult` is bit-identical to the frozen
-scalar reference engine's run of that mix — the batching changes
-wall-clock, never results.
+scalar reference engine's run of that mix
+(:class:`~repro.model.reference.ReferenceSystemModel`) — the batching
+changes wall-clock, never results.
 """
 
 from __future__ import annotations
@@ -233,9 +234,9 @@ class BatchSystemModel:
     ``seeds`` gives each mix's simulation seed (defaults to ``0`` for
     every mix); results are bit-identical to
     ``SystemModel(design, workloads[i], seed=seeds[i]).run(...)`` per
-    mix, on either engine. The mixes run on the accelerated engine; the
-    reference engine stays a scalar per-mix loop, so the batch stages
-    always have something to be differentially tested against.
+    mix, and to the same call on
+    :class:`~repro.model.reference.ReferenceSystemModel`, whose scalar
+    per-mix loop the batch stages are differentially tested against.
     """
 
     def __init__(
@@ -262,7 +263,6 @@ class BatchSystemModel:
                 seed=seed,
                 controller_config=controller_config,
                 epoch_cycles=epoch_cycles,
-                engine=Engine.FAST,
             )
             for workload, seed in zip(workloads, seeds)
         ]

@@ -17,7 +17,6 @@ proximity (NoC term), and partitioning mechanism (associativity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
 
 from ..config import SystemConfig
 from ..core.allocation import Allocation

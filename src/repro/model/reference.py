@@ -11,9 +11,9 @@ It exists for two reasons (the same pattern as
   same controller decisions. Property tests drive both implementations
   with the same seeds/contexts and compare every observable
   (``tests/test_model_reference.py``).
-* **Benchmarking.** ``repro bench --suite model`` times the fast engine
-  against this scalar baseline over the fig13 epoch loop and reports
-  the speedup in ``BENCH_model.json``, gated on ``stats_identical``.
+* **Benchmarking.** ``repro bench --suite model`` times the batched
+  engine against :class:`ReferenceSystemModel` over the fig13 epoch
+  loop and reports the speedup in ``BENCH_model.json``.
 
 Two deliberate deviations from the historical code are part of the
 engine change and documented in :mod:`repro.sim.queueing`:
@@ -27,31 +27,40 @@ engine change and documented in :mod:`repro.sim.queueing`:
   IEEE operations in the same order. The golden fig12/fig13 pins were
   regenerated for the resulting new request streams.
 
-A full scalar run is selected with ``SystemModel(..., engine=
-"reference")``: contexts are built with ``engine="reference"`` (the
-production placer entry points then delegate to the copies below),
-LC queues use :class:`ReferenceLcRequestSimulator`, and placement
-memoisation is disabled. Nothing here should be optimised:
-slow-and-obvious is the point.
+A full scalar run is a :class:`ReferenceSystemModel` (or
+``run_model(..., engine="reference")``): its contexts are built with
+``engine="reference"`` (the production placer entry points then
+delegate to the copies below), its LC queues are
+:class:`ReferenceLcRequestSimulator` and placement memoisation is off.
+Nothing here should be optimised: slow-and-obvious is the point.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..cache.misscurve import MissCurve
-from ..config import CORE_FREQ_HZ
+from ..config import CORE_FREQ_HZ, Engine
+from ..core.allocation import Allocation
 from ..core.context import PlacementContext
 from ..errors import LlcFull
+from ..metrics.security import potential_attackers_per_access
+from ..noc.energy import EnergyBreakdown
 from ..noc.mesh import MeshNoc
-from ..sim.queueing import LcRequestSimulator, QueueSimResult
+from ..sim.queueing import LcRequestSimulator, QueueSimResult, percentile
+from ..workloads.tailbench import REFERENCE_ALLOC_MB
+from .performance import batch_perf, lc_service_cycles
 from .reference_allocation import ReferenceAllocation
+from .system import EpochMetrics, RunResult, SystemModel, _RunState
 
 __all__ = [
     "ReferenceLcRequestSimulator",
+    "ReferenceSystemModel",
     "reference_combine_curves",
     "reference_lookahead",
     "reference_jumanji_lookahead",
@@ -632,3 +641,210 @@ def reference_jumanji_placer(
             f"bank isolation violated in banks {violations}"
         )
     return alloc
+
+
+# ---------------------------------------------------------------------------
+# System model: the scalar epoch loop
+# ---------------------------------------------------------------------------
+
+
+class ReferenceSystemModel(SystemModel):
+    """:class:`~repro.model.system.SystemModel` on the scalar engine.
+
+    The set-up (runtime, deadlines, simulators), placement and result
+    packaging are inherited. Contexts are built for the reference
+    placers, placement memoisation is off (both follow from ``engine``),
+    and each LC app's queue is a :class:`ReferenceLcRequestSimulator`.
+    The epoch loop below runs placement (``_place``), service times
+    (``_epoch_begin``), the LC queueing simulation (``_epoch_sim``) and
+    feedback plus metrics (``_epoch_finish``), one app at a time. The
+    accelerated engine (:mod:`repro.model.batch`) runs the same phases
+    as array stages across a batch of models and is differentially
+    tested against this loop.
+    """
+
+    engine = Engine.REFERENCE
+    sim_cls = ReferenceLcRequestSimulator
+
+    def _lc_service(
+        self, app: str, alloc: Allocation
+    ) -> Tuple[float, float]:
+        """Mean service cycles and LLC size for one LC app this epoch."""
+        profile = self.workload.lc_profile(app)
+        size = alloc.app_size(app)
+        tile = self.workload.tile_of(app)
+        noc_rtt = alloc.avg_noc_rtt(app, tile, self.noc)
+        # Associativity penalty applies to the LC app's misses too when
+        # its partition is thin (S-NUCA designs stripe it across banks).
+        ways = alloc.ways_per_bank(app)
+        service = lc_service_cycles(
+            profile, size, noc_rtt, ways, self.config, self.params
+        )
+        return service, size
+
+    def _batch_epoch(
+        self, alloc: Allocation
+    ) -> Tuple[Dict[str, float], Dict[str, Tuple[float, float, float]]]:
+        """Batch IPCs and (accesses, misses, hops) rates for energy."""
+        ipcs: Dict[str, float] = {}
+        rates: Dict[str, Tuple[float, float, float]] = {}
+        overhead = self.runtime.batch_overhead_factor
+        for app in self.workload.batch_apps:
+            profile = self.workload.batch_profile(app)
+            tile = self.workload.tile_of(app)
+            perf = batch_perf(
+                app, profile, tile, alloc, self.noc, self.params
+            )
+            ipcs[app] = perf.ipc * overhead
+            # Events per cycle for the energy model.
+            accesses = profile.apki * perf.ipc / 1000.0
+            misses = perf.mpki_eff * perf.ipc / 1000.0
+            hops = accesses * 2 * alloc.avg_noc_hops(app, tile, self.noc)
+            rates[app] = (accesses, misses, hops)
+        return ipcs, rates
+
+    def _epoch_energy(
+        self,
+        alloc: Allocation,
+        batch_rates: Mapping[str, Tuple[float, float, float]],
+        lc_latencies: Mapping[str, List[float]],
+    ) -> EnergyBreakdown:
+        """Dynamic energy of one epoch (batch rates + LC per-query)."""
+        total = EnergyBreakdown()
+        cycles = self.epoch_cycles
+        for app, (acc, miss, hops) in batch_rates.items():
+            profile = self.workload.batch_profile(app)
+            # L1/L2 accesses estimated from instruction throughput; LLC
+            # accesses already per cycle.
+            ipc = acc / max(profile.apki, 1e-9) * 1000.0
+            l1 = 0.3 * ipc * cycles  # ~30% of instrs touch memory
+            l2 = profile.apki * 3 * ipc / 1000.0 * cycles
+            total = total + self.energy_model.access_energy(
+                l1, l2, acc * cycles, hops * cycles, miss * cycles
+            )
+        for app, lats in lc_latencies.items():
+            profile = self.workload.lc_profile(app)
+            queries = len(lats)
+            size = (
+                self.runtime.history[-1]
+                .allocation.app_size(app)
+                if self.runtime.history
+                else REFERENCE_ALLOC_MB
+            )
+            tile = self.workload.tile_of(app)
+            alloc_obj = self.runtime.history[-1].allocation
+            hops_per_access = 2 * alloc_obj.avg_noc_hops(
+                app, tile, self.noc
+            )
+            acc = profile.accesses_per_query * queries
+            miss = profile.misses_per_query(size) * queries
+            total = total + self.energy_model.access_energy(
+                queries * profile.base_cycles * 0.1,
+                acc * 2,
+                acc,
+                acc * hops_per_access,
+                miss,
+            )
+        return total
+
+    def _epoch_begin(self, epoch: int) -> "_EpochPrep":
+        """Phase 1: reconfigure placement, compute LC service times."""
+        record, batch_alloc = self._place()
+        alloc = record.allocation
+        services: Dict[str, float] = {}
+        sizes: Dict[str, float] = {}
+        for app in self.workload.lc_apps:
+            services[app], sizes[app] = self._lc_service(app, alloc)
+        return _EpochPrep(
+            alloc=alloc,
+            batch_alloc=batch_alloc,
+            services=services,
+            sizes=sizes,
+        )
+
+    def _epoch_sim(self, prep: "_EpochPrep") -> Dict[str, List[float]]:
+        """Phase 2: advance every LC queueing simulator by one epoch."""
+        apps = self.workload.lc_apps
+        return {
+            a: list(
+                self._lc_sims[a]
+                .run_epoch(self.epoch_cycles, prep.services[a])
+                .latencies_cycles
+            )
+            for a in apps
+        }
+
+    def _epoch_finish(
+        self,
+        epoch: int,
+        prep: "_EpochPrep",
+        lc_lats: Dict[str, List[float]],
+        state: _RunState,
+    ) -> None:
+        """Phase 3: feedback, tails, batch perf, vulnerability, energy."""
+        lc_tails: Dict[str, float] = {}
+        for app in self.workload.lc_apps:
+            lats = lc_lats[app]
+            if self.design.uses_feedback:
+                # Batched feedback: identical to reporting each
+                # completion from an on_complete callback — the
+                # controller only consumes its window at epoch
+                # boundaries, and per-sample order is preserved.
+                self.runtime.report_latencies(app, lats)
+            lc_tails[app] = (
+                percentile(lats, 95.0) if lats else float("nan")
+            )
+            if epoch >= state.warmup:
+                state.all_latencies[app].extend(lats)
+        if obs.is_enabled():
+            # Deterministic for a fixed seed: the ratio comes from the
+            # seeded queueing simulation, not a clock.
+            for app, tail in lc_tails.items():
+                deadline = self._deadlines.get(app)
+                if deadline and tail == tail:  # skip NaN
+                    obs.observe(
+                        "model.lc_tail_vs_deadline",
+                        tail / deadline,
+                        edges=obs.RATIO_EDGES,
+                    )
+        batch_alloc = prep.batch_alloc
+        ipcs, rates = self._batch_epoch(batch_alloc)
+        # Vulnerability over the allocation actually serving traffic.
+        vuln = potential_attackers_per_access(
+            batch_alloc, state.vm_map, state.intensity
+        )
+        energy = self._epoch_energy(batch_alloc, rates, lc_lats)
+        state.epochs.append(
+            EpochMetrics(
+                epoch=epoch,
+                lc_tails=lc_tails,
+                lc_sizes=dict(prep.sizes),
+                batch_ipcs=ipcs,
+                vulnerability=vuln,
+                energy=energy,
+            )
+        )
+
+    def run(self, num_epochs: int = 20) -> RunResult:
+        """Simulate ``num_epochs`` 100 ms epochs with the scalar loop."""
+        state = self._run_begin(num_epochs)
+        for epoch in range(num_epochs):
+            with obs.span(
+                "model.epoch", epoch=epoch, design=self.design.name,
+            ):
+                prep = self._epoch_begin(epoch)
+                lc_lats = self._epoch_sim(prep)
+                self._epoch_finish(epoch, prep, lc_lats, state)
+        return self._run_result(state)
+
+
+@dataclass
+class _EpochPrep:
+    """Phase-1 outputs of one epoch, pending the LC simulation."""
+
+    alloc: Allocation
+    batch_alloc: Allocation
+    #: LC app -> mean service cycles at this epoch's placement.
+    services: Dict[str, float]
+    #: LC app -> LLC MB (reported as ``lc_sizes``).
+    sizes: Dict[str, float]

@@ -1,6 +1,6 @@
 """Epoch-level system simulation: one design x one workload -> metrics.
 
-The driver mirrors the structure of the paper's evaluation runs. Each
+A run mirrors the structure of the paper's evaluation runs. Each
 100 ms epoch:
 
 1. the runtime reconfigures the LLC (the active design's placement,
@@ -12,6 +12,12 @@ The driver mirrors the structure of the paper's evaluation runs. Each
 3. each batch app's IPC is evaluated under the allocation;
 4. security vulnerability and data-movement energy are accounted.
 
+This module holds what both engines share: the per-mix set-up
+(:class:`SystemModel`), :class:`RunResult` and the deadlines. The
+accelerated epoch loop is :class:`repro.model.batch.BatchSystemModel`;
+the frozen scalar one is
+:class:`repro.model.reference.ReferenceSystemModel`.
+
 Deadlines follow the paper's methodology: the 95th-percentile latency of
 the app running in isolation at high load with four LLC ways under
 way-partitioning (S-NUCA).
@@ -21,13 +27,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .. import obs
 from ..config import (
-    CORE_FREQ_HZ,
     RECONFIG_INTERVAL_CYCLES,
     ControllerConfig,
     Engine,
@@ -41,10 +45,8 @@ from ..core.designs import (
 )
 from ..core.runtime import JumanjiRuntime, ReconfigRecord
 from ..metrics.security import (
-    potential_attackers_per_access,
     potential_attackers_per_access_fast,  # noqa: F401  (see below)
 )
-from ..metrics.speedup import weighted_speedup
 from ..noc.energy import EnergyBreakdown, EnergyModel
 from ..noc.mesh import MeshNoc
 from ..sim.queueing import (
@@ -53,19 +55,20 @@ from ..sim.queueing import (
     run_epoch_batch,  # noqa: F401  (see below)
 )
 from ..workloads.mixes import base_app
-from ..workloads.tailbench import (
-    LatencyCriticalProfile,
-    REFERENCE_ALLOC_MB,
-    get_lc_profile,
-)
+from ..workloads.tailbench import REFERENCE_ALLOC_MB, get_lc_profile
 from .params import DEFAULT_PARAMS, ModelParams
-from .performance import batch_perf, lc_service_cycles, snuca_avg_rtt
+from .performance import (
+    batch_perf,  # noqa: F401  (see below)
+    lc_service_cycles,
+    snuca_avg_rtt,
+)
 from .workload import WorkloadSpec
 
-# ``run_epoch_batch`` and ``potential_attackers_per_access_fast`` are
-# not called here since the accelerated epoch loop moved to
-# :mod:`repro.model.batch`; they stay importable from this module
-# because call-site tracers (``bench/trace.py``) look them up here.
+# ``run_epoch_batch``, ``potential_attackers_per_access_fast`` and
+# ``batch_perf`` are not called here since the epoch loops moved to
+# :mod:`repro.model.batch` and :mod:`repro.model.reference`; they stay
+# importable from this module because call-site tracers
+# (``bench/trace.py``) look them up here.
 
 __all__ = [
     "EpochMetrics",
@@ -281,7 +284,20 @@ class _ContextBuilder:
 
 
 class SystemModel:
-    """Runs one design against one workload for N epochs."""
+    """Runs one design against one workload for N epochs.
+
+    This class is the accelerated engine's per-mix set-up: it runs as a
+    batch of one through :class:`~repro.model.batch.BatchSystemModel`
+    (numpy placer kernels, placement memoisation, curve caches, array
+    metric stages). :class:`~repro.model.reference.ReferenceSystemModel`
+    shares this set-up and runs the frozen scalar epoch loop instead;
+    the two produce bit-identical results.
+    """
+
+    #: The engine the placement contexts are built for.
+    engine = Engine.FAST
+    #: The queueing simulator each LC app gets.
+    sim_cls = LcRequestSimulator
 
     def __init__(
         self,
@@ -292,42 +308,29 @@ class SystemModel:
         energy_model: Optional[EnergyModel] = None,
         params: Optional[ModelParams] = None,
         epoch_cycles: int = RECONFIG_INTERVAL_CYCLES,
-        engine: str = Engine.FAST,
     ):
         if epoch_cycles <= 0:
             raise ValueError("epoch_cycles must be positive")
-        engine = Engine.validate(engine, source="SystemModel")
         self.design = design
         self.workload = workload
         self.config = workload.config
         self.epoch_cycles = epoch_cycles
-        #: ``"fast"`` runs the accelerated epoch engine
-        #: (:mod:`repro.model.batch`, as a batch of one: numpy placer
-        #: kernels, placement memoisation, curve caches, array metric
-        #: stages); ``"reference"`` runs the frozen scalar loop below
-        #: over :mod:`repro.model.reference` with every cache disabled.
-        #: The two produce bit-identical results.
-        self.engine = engine
         self.noc = MeshNoc(self.config)
         self.params = params if params is not None else workload.params
         self.energy_model = (
             energy_model if energy_model is not None else EnergyModel()
         )
-        self._context = _ContextBuilder(design, workload, self.noc, engine)
+        self._context = _ContextBuilder(
+            design, workload, self.noc, self.engine
+        )
         self.runtime = JumanjiRuntime(
             design,
             self.config,
             context_builder=self._context,
             controller_config=controller_config,
             seed=seed,
-            memoize_placement=Engine.accelerated(engine),
+            memoize_placement=Engine.accelerated(self.engine),
         )
-        if engine == Engine.REFERENCE:
-            from .reference import ReferenceLcRequestSimulator
-
-            sim_cls = ReferenceLcRequestSimulator
-        else:
-            sim_cls = LcRequestSimulator
         self._lc_sims: Dict[str, LcRequestSimulator] = {}
         self._deadlines: Dict[str, float] = {}
         for i, app in enumerate(workload.lc_apps):
@@ -337,104 +340,13 @@ class SystemModel:
             )
             self._deadlines[app] = deadline
             self.runtime.register_lc_app(app, deadline)
-            self._lc_sims[app] = sim_cls(
+            self._lc_sims[app] = self.sim_cls(
                 qps=workload.qps_of(app),
                 service_cv=profile.service_cv,
                 seed=seed * 1000 + i,
             )
 
-    # -- per-epoch evaluation ----------------------------------------------------------
-
-    def _lc_service(
-        self, app: str, alloc: Allocation
-    ) -> Tuple[float, float]:
-        """Mean service cycles and LLC size for one LC app this epoch."""
-        profile = self.workload.lc_profile(app)
-        size = alloc.app_size(app)
-        tile = self.workload.tile_of(app)
-        noc_rtt = alloc.avg_noc_rtt(app, tile, self.noc)
-        # Associativity penalty applies to the LC app's misses too when
-        # its partition is thin (S-NUCA designs stripe it across banks).
-        ways = alloc.ways_per_bank(app)
-        service = lc_service_cycles(
-            profile, size, noc_rtt, ways, self.config, self.params
-        )
-        return service, size
-
-    def _batch_epoch(
-        self, alloc: Allocation
-    ) -> Tuple[Dict[str, float], Dict[str, Tuple[float, float, float]]]:
-        """Batch IPCs and (accesses, misses, hops) rates for energy."""
-        ipcs: Dict[str, float] = {}
-        rates: Dict[str, Tuple[float, float, float]] = {}
-        overhead = self.runtime.batch_overhead_factor
-        for app in self.workload.batch_apps:
-            profile = self.workload.batch_profile(app)
-            tile = self.workload.tile_of(app)
-            perf = batch_perf(
-                app, profile, tile, alloc, self.noc, self.params
-            )
-            ipcs[app] = perf.ipc * overhead
-            # Events per cycle for the energy model.
-            accesses = profile.apki * perf.ipc / 1000.0
-            misses = perf.mpki_eff * perf.ipc / 1000.0
-            hops = accesses * 2 * alloc.avg_noc_hops(app, tile, self.noc)
-            rates[app] = (accesses, misses, hops)
-        return ipcs, rates
-
-    def _epoch_energy(
-        self,
-        alloc: Allocation,
-        batch_rates: Mapping[str, Tuple[float, float, float]],
-        lc_latencies: Mapping[str, List[float]],
-    ) -> EnergyBreakdown:
-        """Dynamic energy of one epoch (batch rates + LC per-query)."""
-        total = EnergyBreakdown()
-        cycles = self.epoch_cycles
-        for app, (acc, miss, hops) in batch_rates.items():
-            profile = self.workload.batch_profile(app)
-            # L1/L2 accesses estimated from instruction throughput; LLC
-            # accesses already per cycle.
-            ipc = acc / max(profile.apki, 1e-9) * 1000.0
-            l1 = 0.3 * ipc * cycles  # ~30% of instrs touch memory
-            l2 = profile.apki * 3 * ipc / 1000.0 * cycles
-            total = total + self.energy_model.access_energy(
-                l1, l2, acc * cycles, hops * cycles, miss * cycles
-            )
-        for app, lats in lc_latencies.items():
-            profile = self.workload.lc_profile(app)
-            queries = len(lats)
-            size = (
-                self.runtime.history[-1]
-                .allocation.app_size(app)
-                if self.runtime.history
-                else REFERENCE_ALLOC_MB
-            )
-            tile = self.workload.tile_of(app)
-            alloc_obj = self.runtime.history[-1].allocation
-            hops_per_access = 2 * alloc_obj.avg_noc_hops(
-                app, tile, self.noc
-            )
-            acc = profile.accesses_per_query * queries
-            miss = profile.misses_per_query(size) * queries
-            total = total + self.energy_model.access_energy(
-                queries * profile.base_cycles * 0.1,
-                acc * 2,
-                acc,
-                acc * hops_per_access,
-                miss,
-            )
-        return total
-
-    # -- main loop -------------------------------------------------------------------
-    #
-    # The scalar epoch loop below is the reference engine's: placement
-    # (``_place``, shared with the accelerated engine), service times
-    # (``_epoch_begin``), the LC queueing simulation (``_epoch_sim``)
-    # and feedback plus metrics (``_epoch_finish``), one app at a time.
-    # The accelerated engine (:mod:`repro.model.batch`) runs the same
-    # phases as array stages across a batch of models and is
-    # differentially tested against this loop.
+    # -- run phases shared with the reference engine ----------------------
 
     def _run_begin(self, num_epochs: int) -> "_RunState":
         """Validate and build the accumulator state for one run."""
@@ -477,84 +389,6 @@ class SystemModel:
             return record, self.design.allocate_batch(ctx)
         return record, record.allocation
 
-    def _epoch_begin(self, epoch: int) -> "_EpochPrep":
-        """Phase 1: reconfigure placement, compute LC service times."""
-        record, batch_alloc = self._place()
-        alloc = record.allocation
-        services: Dict[str, float] = {}
-        sizes: Dict[str, float] = {}
-        for app in self.workload.lc_apps:
-            services[app], sizes[app] = self._lc_service(app, alloc)
-        return _EpochPrep(
-            alloc=alloc,
-            batch_alloc=batch_alloc,
-            services=services,
-            sizes=sizes,
-        )
-
-    def _epoch_sim(self, prep: "_EpochPrep") -> Dict[str, List[float]]:
-        """Phase 2: advance every LC queueing simulator by one epoch."""
-        apps = self.workload.lc_apps
-        return {
-            a: list(
-                self._lc_sims[a]
-                .run_epoch(self.epoch_cycles, prep.services[a])
-                .latencies_cycles
-            )
-            for a in apps
-        }
-
-    def _epoch_finish(
-        self,
-        epoch: int,
-        prep: "_EpochPrep",
-        lc_lats: Dict[str, List[float]],
-        state: "_RunState",
-    ) -> None:
-        """Phase 3: feedback, tails, batch perf, vulnerability, energy."""
-        lc_tails: Dict[str, float] = {}
-        for app in self.workload.lc_apps:
-            lats = lc_lats[app]
-            if self.design.uses_feedback:
-                # Batched feedback: identical to reporting each
-                # completion from an on_complete callback — the
-                # controller only consumes its window at epoch
-                # boundaries, and per-sample order is preserved.
-                self.runtime.report_latencies(app, lats)
-            lc_tails[app] = (
-                percentile(lats, 95.0) if lats else float("nan")
-            )
-            if epoch >= state.warmup:
-                state.all_latencies[app].extend(lats)
-        if obs.is_enabled():
-            # Deterministic for a fixed seed: the ratio comes from the
-            # seeded queueing simulation, not a clock.
-            for app, tail in lc_tails.items():
-                deadline = self._deadlines.get(app)
-                if deadline and tail == tail:  # skip NaN
-                    obs.observe(
-                        "model.lc_tail_vs_deadline",
-                        tail / deadline,
-                        edges=obs.RATIO_EDGES,
-                    )
-        batch_alloc = prep.batch_alloc
-        ipcs, rates = self._batch_epoch(batch_alloc)
-        # Vulnerability over the allocation actually serving traffic.
-        vuln = potential_attackers_per_access(
-            batch_alloc, state.vm_map, state.intensity
-        )
-        energy = self._epoch_energy(batch_alloc, rates, lc_lats)
-        state.epochs.append(
-            EpochMetrics(
-                epoch=epoch,
-                lc_tails=lc_tails,
-                lc_sizes=dict(prep.sizes),
-                batch_ipcs=ipcs,
-                vulnerability=vuln,
-                energy=energy,
-            )
-        )
-
     def _run_result(self, state: "_RunState") -> RunResult:
         """Package the accumulated epochs as a :class:`RunResult`."""
         return RunResult(
@@ -571,37 +405,10 @@ class SystemModel:
         )
 
     def run(self, num_epochs: int = 20) -> RunResult:
-        """Simulate ``num_epochs`` 100 ms epochs.
+        """Simulate ``num_epochs`` 100 ms epochs, as a batch of one."""
+        from .batch import BatchSystemModel
 
-        An accelerated model runs as a batch of one through
-        :class:`~repro.model.batch.BatchSystemModel`; the reference
-        engine runs the scalar loop.
-        """
-        if Engine.accelerated(self.engine):
-            from .batch import BatchSystemModel
-
-            return BatchSystemModel.from_models([self]).run(num_epochs)[0]
-        state = self._run_begin(num_epochs)
-        for epoch in range(num_epochs):
-            with obs.span(
-                "model.epoch", epoch=epoch, design=self.design.name,
-            ):
-                prep = self._epoch_begin(epoch)
-                lc_lats = self._epoch_sim(prep)
-                self._epoch_finish(epoch, prep, lc_lats, state)
-        return self._run_result(state)
-
-
-@dataclass
-class _EpochPrep:
-    """Phase-1 outputs of one epoch, pending the LC simulation."""
-
-    alloc: Allocation
-    batch_alloc: Allocation
-    #: LC app -> mean service cycles at this epoch's placement.
-    services: Dict[str, float]
-    #: LC app -> LLC MB (reported as ``lc_sizes``).
-    sizes: Dict[str, float]
+        return BatchSystemModel.from_models([self]).run(num_epochs)[0]
 
 
 @dataclass
@@ -624,13 +431,18 @@ def _run_design(
     engine: str = Engine.FAST,
     **design_kwargs,
 ) -> RunResult:
-    """Build and run one design against a workload (internal impl)."""
+    """Build and run one design against a workload (internal impl);
+    ``engine`` picks the model class."""
+    model_cls = SystemModel
+    if engine == Engine.REFERENCE:
+        from .reference import ReferenceSystemModel
+
+        model_cls = ReferenceSystemModel
     design = make_design(design_name, **design_kwargs)
-    model = SystemModel(
+    model = model_cls(
         design,
         workload,
         seed=seed,
         controller_config=controller_config,
-        engine=engine,
     )
     return model.run(num_epochs)

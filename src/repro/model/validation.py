@@ -21,11 +21,11 @@ sweeps (DESIGN.md Sec. 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..cache.misscurve import MissCurve
 from ..cache.umon import Umon
-from ..config import LINE_BYTES, SystemConfig
+from ..config import SystemConfig
 from ..runner import Cell, SweepRunner, register_cell_kind
 from ..sim.tracesim import TraceSimulator
 from ..vtb.vtb import DESCRIPTOR_ENTRIES, PlacementDescriptor

@@ -13,8 +13,8 @@ they do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 from ..config import SystemConfig
 from .mesh import MeshNoc

@@ -43,7 +43,6 @@ from ..config import Settings
 from ..errors import (
     ConfigError,
     PayloadTooLarge,
-    ReproError,
     TelemetryInvalid,
     UnknownSession,
 )

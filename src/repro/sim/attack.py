@@ -30,13 +30,7 @@ import numpy as np
 
 from ..cache.bank import CacheBank
 from ..runner import Cell, SweepRunner, register_cell_kind
-from ..workloads.traces import (
-    AddressTrace,
-    DoublePassTrace,
-    StreamingTrace,
-    WorkingSetTrace,
-    ZipfTrace,
-)
+from ..workloads.traces import AddressTrace, DoublePassTrace, StreamingTrace
 
 __all__ = [
     "PortAttackConfig",

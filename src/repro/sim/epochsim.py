@@ -23,8 +23,8 @@ UMON knowledge accumulates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..cache.misscurve import MissCurve
 from ..cache.umon import Umon

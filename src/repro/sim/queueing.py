@@ -15,9 +15,10 @@ the feedback controller observes.
 Fast path (this module) and frozen reference
 --------------------------------------------
 
-``run_epoch`` batch-draws its variates from buffered ``numpy.Generator``
-streams and resolves the FCFS recurrence with a vectorised
-cumulative-max scan (the Lindley recurrence in "u-transform" form::
+Every epoch advance batch-draws its variates from buffered
+``numpy.Generator`` streams and resolves the FCFS recurrence with one
+vectorised cumulative-max scan (the Lindley recurrence in "u-transform"
+form::
 
     S_i = S_{i-1} + s_i                     # cumulative service
     u_i = max(u_{i-1}, a_i - S_{i-1})       # u_0 seeds from server_free_at
@@ -25,11 +26,12 @@ cumulative-max scan (the Lindley recurrence in "u-transform" form::
     completion_i = u_i + S_i
 
 which is a ``cumsum`` + ``maximum.accumulate`` instead of a per-request
-Python loop). :func:`advance_epoch_batch` runs the same scan for many
-simulators as rows of one padded matrix (the model engine's mixes);
-:func:`advance_epoch_rows` scans very ragged backlogs (a fleet's
-tenants) in bounded blocks of similar widths. The scalar implementation
-is frozen as
+Python loop). The scan runs along the rows of one padded matrix, one
+simulator per row: :func:`advance_epoch_batch` scans many simulators at
+once (the model engine's mixes), :func:`advance_epoch_rows` scans very
+ragged backlogs (a fleet's tenants) in bounded blocks of similar
+widths, and :meth:`LcRequestSimulator.run_epoch` scans one row.
+The scalar implementation is frozen as
 :class:`repro.model.reference.ReferenceLcRequestSimulator`, which
 consumes the *same* variate streams one value at a time and computes the
 same recurrence scalar-wise — the two are differentially tested to be
@@ -272,86 +274,32 @@ class LcRequestSimulator:
         return len(self._backlog)
 
     def run_epoch(
-        self,
-        duration_cycles: float,
-        mean_service_cycles: float,
-        qps: Optional[float] = None,
-        on_complete: Optional[Callable[[float], None]] = None,
+        self, duration_cycles: float, mean_service_cycles: float
     ) -> QueueSimResult:
         """Advance the request stream by ``duration_cycles``.
 
         ``mean_service_cycles`` is the allocation-dependent mean service
         time for this epoch. Completions within the epoch produce
-        latencies (arrival -> completion, i.e. including queueing);
-        ``on_complete`` is invoked per completion in completion order so
-        a feedback controller can react mid-epoch.
+        latencies (arrival -> completion, i.e. including queueing), in
+        completion order. The Lindley scan is the one
+        :func:`advance_epoch_batch` runs, over a single row.
         """
-        if duration_cycles <= 0:
-            raise ValueError("duration must be positive")
-        if mean_service_cycles <= 0:
-            raise ValueError("service time must be positive")
-        if qps is not None:
-            if qps <= 0:
-                raise ValueError("qps must be positive")
-            self.qps = qps
+        _check_batch([self], duration_cycles, [mean_service_cycles])
         epoch_end = self._now + duration_cycles
         n = self._admit(epoch_end)
-
         latencies: List[float] = []
         if n:
-            a = np.asarray(self._backlog, dtype=float)
-            # Service times for every queued request are *peeked*; only
-            # the ones actually started this epoch are consumed, so the
-            # stream position matches the scalar reference exactly.
-            if self._services is not None:
-                scale = mean_service_cycles * self.service_cv**2
-                s = self._services.peek(n) * scale
-            else:
-                s = np.full(n, mean_service_cycles)
-            cum = np.cumsum(s)
-            cum_prev = np.empty(n)
-            cum_prev[0] = 0.0
-            cum_prev[1:] = cum[:-1]
-            # u-transform of the Lindley recurrence (module docstring):
-            # both u and the cumulative service are non-decreasing, so
-            # starts and completions are sorted and the epoch cut-offs
-            # are binary searches.
-            u = np.maximum(
-                np.maximum.accumulate(a - cum_prev), self._server_free_at
+            completions, a, done = _scan(
+                [self], [n], [mean_service_cycles], [epoch_end]
             )
-            starts = u + cum_prev
-            completions = u + cum
-            # Requests started before the boundary consume a variate
-            # and occupy the server; at most the last one completes
-            # beyond the boundary (service is not preempted mid-epoch;
-            # the sub-request error this introduces is far below the
-            # 100 ms epoch length) and is retried next epoch.
-            n_started = int(np.searchsorted(starts, epoch_end, side="left"))
-            n_done = int(
-                np.searchsorted(
-                    completions[:n_started], epoch_end, side="right"
-                )
-            )
-            if self._services is not None:
-                self._services.advance(n_started)
-            if n_started:
-                self._server_free_at = float(completions[n_started - 1])
-            if n_done:
-                latencies = (completions[:n_done] - a[:n_done]).tolist()
-                if on_complete is not None:
-                    for latency in latencies:
-                        on_complete(latency)
-                self._backlog = self._backlog[n_done:].copy()
+            nd = int(done[0])
+            latencies = (completions[0, :nd] - a[0, :nd]).tolist()
         self._now = epoch_end
-
-        utilization = (
-            self.qps * mean_service_cycles / CORE_FREQ_HZ
-        )
         return QueueSimResult(
             latencies_cycles=latencies,
             completed=len(latencies),
             mean_service_cycles=mean_service_cycles,
-            utilization=utilization,
+            utilization=self.qps * mean_service_cycles / CORE_FREQ_HZ,
             final_queue_depth=len(self._backlog),
         )
 
@@ -378,7 +326,7 @@ def _check_batch(
     duration_cycles: float,
     mean_services: Sequence[float],
 ) -> Tuple[List[LcRequestSimulator], List[float]]:
-    """The batch as lists, after the checks ``run_epoch`` makes."""
+    """The batch as lists, after checking the duration and each mean."""
     if duration_cycles <= 0:
         raise ValueError("duration must be positive")
     sims = list(sims)
@@ -402,47 +350,47 @@ def _scan(
     Every simulator has already queued its arrivals (``counts`` is each
     backlog's length, at least one somewhere). Fills the ``(sims,
     max(counts))`` arrival and service matrices, runs the u-transform
-    along ``axis=1``, and moves each simulator past the epoch exactly as
-    :meth:`LcRequestSimulator.run_epoch` does. Returns ``(completions,
-    arrivals, done)``: row ``i``'s first ``done[i]`` cells of
-    ``completions - arrivals`` are its latencies this epoch.
+    along ``axis=1``, and moves each simulator past the epoch. Service
+    times are peeked for every queued request but consumed only for
+    the ones started before the boundary, so stream positions match the
+    scalar reference; completed requests leave the backlog. Returns
+    ``(completions, arrivals, done)``: row ``i``'s first ``done[i]``
+    cells of ``completions - arrivals`` are its latencies this epoch.
     """
     nsims = len(sims)
     width = max(counts)
-    a = np.zeros((nsims, width))
-    s = np.zeros((nsims, width))
-    free = np.empty(nsims)
+    # Column 0 of ``d`` holds the server's free time and the services
+    # start at column 2 of ``s``, so one cumsum gives the running
+    # service sum before (``cum[:, 1:-1]``) and after (``cum[:, 2:]``)
+    # each request, and one running maximum the u of every request,
+    # seeded from the server's free time.
+    d = np.zeros((nsims, width + 1))
+    s = np.zeros((nsims, width + 2))
     for r, (sim, n, mean) in enumerate(zip(sims, counts, means)):
+        d[r, 0] = sim._server_free_at
         if n:
-            a[r, :n] = sim._backlog
+            d[r, 1 : n + 1] = sim._backlog
             if sim._services is not None:
                 scale = mean * sim.service_cv**2
-                s[r, :n] = sim._services.peek(n) * scale
+                s[r, 2 : n + 2] = sim._services.peek(n) * scale
             else:
-                s[r, :n] = mean
-        free[r] = sim._server_free_at
+                s[r, 2 : n + 2] = mean
     cum = np.cumsum(s, axis=1)
-    cum_prev = np.empty_like(cum)
-    cum_prev[:, 0] = 0.0
-    cum_prev[:, 1:] = cum[:, :-1]
-    u = np.maximum(
-        np.maximum.accumulate(a - cum_prev, axis=1), free[:, None]
-    )
-    starts = u + cum_prev
-    completions = u + cum
-    # Per-row boundary cuts: starts/completions are sorted within each
-    # live prefix, so the counting comparisons reproduce the scalar
-    # searchsorted cuts (side="left" counts starts strictly before the
-    # boundary; side="right" counts completions at or before it,
-    # restricted to started requests).
-    col = np.arange(width)[None, :]
+    u = np.maximum.accumulate(d - cum[:, :-1], axis=1)[:, 1:]
+    starts = u + cum[:, 1:-1]
+    completions = u + cum[:, 2:]
+    # Per-row boundary cuts. Both u and the cumulative service are
+    # non-decreasing along a row, padding included (a padded cell
+    # repeats the row's last completion), so starts and completions are
+    # sorted and each cut is a count: the starts strictly before the
+    # boundary, capped at the backlog, and the completions at or
+    # before it, capped at the started requests. At most the last
+    # started request completes beyond the boundary (service is not
+    # preempted; the error is far below an epoch); it stays queued and
+    # is retried, with a fresh draw, next epoch.
     end_arr = np.asarray(ends)[:, None]
-    started = (
-        (starts < end_arr) & (col < np.asarray(counts)[:, None])
-    ).sum(axis=1)
-    done = ((completions <= end_arr) & (col < started[:, None])).sum(
-        axis=1
-    )
+    started = np.minimum((starts < end_arr).sum(axis=1), counts)
+    done = np.minimum((completions <= end_arr).sum(axis=1), started)
     for r, (sim, ns, nd) in enumerate(
         zip(sims, started.tolist(), done.tolist())
     ):
@@ -453,7 +401,7 @@ def _scan(
         if nd:
             sim._backlog = sim._backlog[nd:].copy()
         sim._now = ends[r]
-    return completions, a, done
+    return completions, d[:, 1:], done
 
 
 def advance_epoch_batch(
@@ -467,11 +415,11 @@ def advance_epoch_batch(
     is padded into one ``(sims, requests)`` matrix and the ``cumsum`` /
     ``maximum.accumulate`` u-transform runs once along ``axis=1``.
     numpy's row-wise scans perform exactly the per-element IEEE
-    operations of the 1-D scan in :meth:`LcRequestSimulator.run_epoch`,
-    and each simulator's variate streams are consumed exactly as there
-    (arrivals per-stream, services peeked for the full backlog and
-    advanced by the started count), so per-simulator results are
-    bit-identical to running each epoch separately — the property
+    operations of a scan over each row alone, and each simulator's
+    variate streams are consumed per stream (arrivals drawn per stream,
+    services peeked for the full backlog and advanced by the started
+    count), so per-simulator results are bit-identical to running each
+    epoch separately, and to the scalar reference — the property
     ``tests/test_model_batch.py`` pins across ragged backlog sizes.
 
     Returns ``(latencies, done)``: row ``i`` of the ``(sims, width)``
@@ -555,8 +503,8 @@ def run_epoch_batch(
     mean_services: Sequence[float],
 ) -> List[QueueSimResult]:
     """:func:`advance_epoch_batch`, as one :class:`QueueSimResult` per
-    simulator — exactly what each one's :meth:`~LcRequestSimulator.run_epoch`
-    would have returned."""
+    simulator: what :meth:`LcRequestSimulator.run_epoch` returns for
+    each alone."""
     sims = list(sims)
     mean_services = list(mean_services)
     latencies, done = advance_epoch_batch(

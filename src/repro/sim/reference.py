@@ -31,7 +31,6 @@ from ..cache.replacement import (
     LruPolicy,
     ReplacementPolicy,
     SrripPolicy,
-    _RripBase,
 )
 from ..config import LINE_BYTES, SystemConfig
 from ..noc.mesh import MeshNoc

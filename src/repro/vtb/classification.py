@@ -23,7 +23,7 @@ spreading the whole footprint proportionally.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 from ..workloads.traces import AddressTrace
 from .vtb import PageTable

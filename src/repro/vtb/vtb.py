@@ -17,7 +17,7 @@ the VC's lines living in bank ``b`` equal ``alloc[b] / sum(alloc)``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -69,3 +69,53 @@ def workload_context(
     if lat_sizes is None:
         lat_sizes = {a: 2.0 for a in workload.lc_apps}
     return workload.build_context(lat_sizes)
+
+
+def _nan_safe(value):
+    """NaN tails compare equal to each other (``nan != nan``)."""
+    if isinstance(value, float) and value != value:
+        return "nan"
+    if isinstance(value, (list, tuple)):
+        return type(value)(_nan_safe(v) for v in value)
+    return value
+
+
+def canonical_run(result):
+    """A :class:`~repro.model.system.RunResult` as plain comparable data:
+    every observable, with NaN mapped to ``"nan"``."""
+    return _nan_safe(
+        (
+            result.design,
+            result.load,
+            result.warmup_epochs,
+            result.placement_failures,
+            sorted(result.lc_deadlines.items()),
+            sorted(result.lc_all_latencies.items()),
+            [
+                (
+                    e.epoch,
+                    sorted(e.lc_tails.items()),
+                    sorted(e.lc_sizes.items()),
+                    sorted(e.batch_ipcs.items()),
+                    e.vulnerability,
+                    sorted(vars(e.energy).items()),
+                )
+                for e in result.epochs
+            ],
+        )
+    )
+
+
+def sim_state(sim):
+    """A queueing simulator's cross-epoch state: the queue (the first
+    four items, which the scalar reference matches too), then its
+    variate streams' buffer positions."""
+    return (
+        sim._server_free_at,
+        sim._now,
+        sim._next_arrival,
+        list(sim._backlog),
+        sim._arrivals._pos,
+        sim._arrivals._buf.size,
+        None if sim._services is None else sim._services._pos,
+    )

@@ -2,9 +2,10 @@
 
 The engine's contract is bit-identity: ``run_epoch_batch`` must
 produce, per simulator, exactly what ``LcRequestSimulator.run_epoch``
-produces — same latencies, same stream consumption, same carried
-backlog — across ragged backlog sizes, empty batches, and single-epoch
-runs; and each mix of a ``BatchSystemModel`` must reproduce its
+(a batch of one) produces — same latencies, same stream consumption,
+same carried backlog — across ragged backlog sizes, empty batches, and
+single-epoch runs; ``advance_epoch_rows`` must match the scalar
+reference simulator; and each mix of a ``BatchSystemModel`` must reproduce its
 reference-engine run and its batch-of-one run observable-for-
 observable. Hypothesis drives the kernel-level property and ragged
 batches end to end.
@@ -17,10 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import RECONFIG_INTERVAL_CYCLES
-from repro.core.designs import make_design
+from repro.core.designs import DESIGNS, make_design
 from repro.errors import ConfigError
 from repro.model.api import run_model
 from repro.model.batch import BatchSystemModel
+from repro.model.reference import (
+    ReferenceLcRequestSimulator,
+    ReferenceSystemModel,
+)
 from repro.model.system import SystemModel
 from repro.model.workload import make_default_workload
 from repro.sim import queueing
@@ -30,52 +35,9 @@ from repro.sim.queueing import (
     run_epoch_batch,
 )
 
+from .helpers import canonical_run, sim_state
+
 EPOCH = 250_000.0  # cycles; small epochs keep hypothesis cases fast
-
-
-def _canonical(result):
-    """A RunResult as plain comparable data (every observable)."""
-    return (
-        result.design,
-        result.load,
-        result.warmup_epochs,
-        sorted(result.lc_deadlines.items()),
-        sorted(result.lc_all_latencies.items()),
-        [
-            (
-                e.epoch,
-                sorted(e.lc_tails.items()),
-                sorted(e.lc_sizes.items()),
-                sorted(e.batch_ipcs.items()),
-                e.vulnerability,
-                sorted(vars(e.energy).items()),
-            )
-            for e in result.epochs
-        ],
-    )
-
-
-def _sim_state(sim):
-    """Every piece of cross-epoch simulator state, for exact compare."""
-    return (
-        sim._server_free_at,
-        sim._now,
-        sim._next_arrival,
-        list(sim._backlog),
-        sim._arrivals._pos,
-        sim._arrivals._buf.size,
-        None if sim._services is None else sim._services._pos,
-    )
-
-
-def _result_tuple(res):
-    return (
-        list(res.latencies_cycles),
-        res.completed,
-        res.mean_service_cycles,
-        res.utilization,
-        res.final_queue_depth,
-    )
 
 
 class TestBatchKernelEquivalence:
@@ -112,9 +74,9 @@ class TestBatchKernelEquivalence:
             got = run_epoch_batch(batched, EPOCH, [mean] * n)
             want = [s.run_epoch(EPOCH, mean) for s in sequential]
             for g, w in zip(got, want):
-                assert _result_tuple(g) == _result_tuple(w)
+                assert g == w
         for b, s in zip(batched, sequential):
-            assert _sim_state(b) == _sim_state(s)
+            assert sim_state(b) == sim_state(s)
 
     def test_empty_batch(self):
         assert run_epoch_batch([], EPOCH, []) == []
@@ -124,8 +86,8 @@ class TestBatchKernelEquivalence:
         b = LcRequestSimulator(qps=5000.0, seed=7)
         got = run_epoch_batch([a], EPOCH * 10, [1000.0])
         want = b.run_epoch(EPOCH * 10, 1000.0)
-        assert _result_tuple(got[0]) == _result_tuple(want)
-        assert _sim_state(a) == _sim_state(b)
+        assert got[0] == want
+        assert sim_state(a) == sim_state(b)
 
     def test_mixed_idle_and_busy_rows(self):
         # A row whose epoch has no queued requests must skip the scan
@@ -141,9 +103,9 @@ class TestBatchKernelEquivalence:
             busy_ref.run_epoch(EPOCH, 500.0),
         ]
         for g, w in zip(got, want):
-            assert _result_tuple(g) == _result_tuple(w)
-        assert _sim_state(quiet) == _sim_state(quiet_ref)
-        assert _sim_state(busy) == _sim_state(busy_ref)
+            assert g == w
+        assert sim_state(quiet) == sim_state(quiet_ref)
+        assert sim_state(busy) == sim_state(busy_ref)
 
     def test_rejects_bad_inputs(self):
         sim = LcRequestSimulator(qps=100.0)
@@ -156,7 +118,7 @@ class TestBatchKernelEquivalence:
 
 
 class TestBlockedRowsKernel:
-    """advance_epoch_rows == per-sim run_epoch on ragged backlogs."""
+    """advance_epoch_rows == the scalar reference on ragged backlogs."""
 
     #: (qps, cv, seed): one overloaded stream whose backlog grows far
     #: past the rest, idle streams that queue nothing, and mid-sized
@@ -172,9 +134,9 @@ class TestBlockedRowsKernel:
         (30_000.0, 0.4, 8),
     )
 
-    def _sims(self):
+    def _sims(self, cls=LcRequestSimulator):
         return [
-            LcRequestSimulator(qps=q, service_cv=cv, seed=seed)
+            cls(qps=q, service_cv=cv, seed=seed)
             for q, cv, seed in self.STREAMS
         ]
 
@@ -183,24 +145,24 @@ class TestBlockedRowsKernel:
         # Small blocks split the batch at several widths; the default
         # one puts the overloaded stream in a block of its own.
         monkeypatch.setattr(queueing, "_BLOCK_CELLS", block)
-        batched, sequential = self._sims(), self._sims()
+        batched = self._sims()
+        sequential = self._sims(ReferenceLcRequestSimulator)
         means = [40_000.0, 500.0, 20_000.0, 500.0,
                  30_000.0, 25_000.0, 500.0, 15_000.0]
         for epoch in range(6):
             load = 1.0 + 0.25 * (epoch % 3)
-            for b in batched:
-                b.qps = b.qps * load
+            for sim in batched + sequential:
+                sim.qps = sim.qps * load
             rows = advance_epoch_rows(batched, EPOCH, means)
             want = [
-                s.run_epoch(EPOCH, m, qps=s.qps * load)
-                for s, m in zip(sequential, means)
+                s.run_epoch(EPOCH, m) for s, m in zip(sequential, means)
             ]
             assert len(rows) == len(want)
             for row, w in zip(rows, want):
                 assert row.ndim == 1
                 assert row.tolist() == w.latencies_cycles
             for b, s in zip(batched, sequential):
-                assert _sim_state(b) == _sim_state(s)
+                assert sim_state(b)[:4] == sim_state(s)[:4]
                 assert b._arrivals.peek(4).tolist() == (
                     s._arrivals.peek(4).tolist()
                 )
@@ -252,9 +214,8 @@ class TestBatchSystemModel:
                 make_design(design),
                 make_default_workload(["xapian"], mix_seed=m),
                 seed=10 + m,
-                engine="fast",
             ).run(4)
-            assert _canonical(res) == _canonical(solo)
+            assert canonical_run(res) == canonical_run(solo)
 
     def test_matches_reference_engine(self):
         batch = BatchSystemModel(
@@ -262,13 +223,12 @@ class TestBatchSystemModel:
         )
         got = batch.run(3)
         for m, seed, res in zip([0, 1], [3, 4], got):
-            ref = SystemModel(
+            ref = ReferenceSystemModel(
                 make_design("Jumanji"),
                 make_default_workload(["xapian"], mix_seed=m),
                 seed=seed,
-                engine="reference",
             ).run(3)
-            assert _canonical(res) == _canonical(ref)
+            assert canonical_run(res) == canonical_run(ref)
 
     def test_single_epoch(self):
         batch = BatchSystemModel("Static", _workloads([5]), seeds=[1])
@@ -277,9 +237,8 @@ class TestBatchSystemModel:
             make_design("Static"),
             make_default_workload(["xapian"], mix_seed=5),
             seed=1,
-            engine="fast",
         ).run(1)
-        assert _canonical(got[0]) == _canonical(solo)
+        assert canonical_run(got[0]) == canonical_run(solo)
 
     def test_empty_mix_list(self):
         batch = BatchSystemModel("Static", [], seeds=[])
@@ -307,9 +266,8 @@ class TestBatchSystemModel:
                 make_design("Static"),
                 make_default_workload(["xapian"], mix_seed=m),
                 seed=seed,
-                engine="fast",
             ).run(2)
-            assert _canonical(res) == _canonical(solo)
+            assert canonical_run(res) == canonical_run(solo)
 
     def test_stage_times_cover_the_run(self):
         batch = BatchSystemModel("Adaptive", _workloads([0, 1]))
@@ -364,15 +322,6 @@ class TestDescriptorUniformInvariance:
 # --------------------------------------------------------------------------
 # ragged batches: every array stage against both engines
 # --------------------------------------------------------------------------
-
-
-def _nan_safe(value):
-    """NaN tails compare equal to each other (``nan != nan``)."""
-    if isinstance(value, float) and value != value:
-        return "nan"
-    if isinstance(value, (list, tuple)):
-        return type(value)(_nan_safe(v) for v in value)
-    return value
 
 
 @st.composite
@@ -435,10 +384,9 @@ class TestRaggedBatches:
             obs.reset()
 
     @given(
-        design=st.sampled_from(
-            ["Static", "Adaptive", "VM-Part", "Jigsaw", "Jumanji",
-             "Jumanji: Ideal Batch"]
-        ),
+        # Every registered design, so none escapes the differential
+        # test (Insecure is the only non-isolated Jumanji placement).
+        design=st.sampled_from(sorted(DESIGNS)),
         workloads=st.lists(_ragged_workload(), min_size=1, max_size=3),
         seed=st.integers(0, 2**16),
         epochs=st.integers(1, 3),
@@ -463,20 +411,19 @@ class TestRaggedBatches:
         )
         want_seen = []
         for workload, s, res in zip(workloads, seeds, got):
-            for engine in ("reference", "fast"):
+            for model_cls in (ReferenceSystemModel, SystemModel):
                 solo, seen = self._observed(
-                    lambda: SystemModel(
+                    lambda: model_cls(
                         make_design(design),
                         copy.deepcopy(workload),
                         seed=s,
                         epoch_cycles=epoch_cycles,
-                        engine=engine,
                     ).run(epochs)
                 )
-                assert _nan_safe(_canonical(res)) == _nan_safe(
-                    _canonical(solo)
-                ), engine
-                if engine == "reference":
+                assert canonical_run(res) == canonical_run(solo), (
+                    model_cls.engine
+                )
+                if model_cls is ReferenceSystemModel:
                     want_seen += seen
         assert got_seen == sorted(want_seen)
 
@@ -490,17 +437,16 @@ class TestRaggedBatches:
             ).run(2)
         )
         ref, ref_seen = self._observed(
-            lambda: SystemModel(
+            lambda: ReferenceSystemModel(
                 make_design("Jumanji"),
                 make_default_workload(["moses"], mix_seed=0, load="low"),
                 seed=0,
                 epoch_cycles=150_000,
-                engine="reference",
             ).run(2)
         )
         tails = [t for e in got[0].epochs for t in e.lc_tails.values()]
         assert any(t != t for t in tails)
-        assert _nan_safe(_canonical(got[0])) == _nan_safe(_canonical(ref))
+        assert canonical_run(got[0]) == canonical_run(ref)
         assert seen == ref_seen
 
     def test_partial_memo_hits_recompute_every_mix(self):
@@ -518,8 +464,7 @@ class TestRaggedBatches:
         hits = [m.runtime.memo_hits for m in batch.models]
         assert hits[1] > hits[0]
         for workload, seed, res in zip([busy, quiet], [5, 6], got):
-            solo = SystemModel(
+            solo = ReferenceSystemModel(
                 make_design("Jumanji"), workload, seed=seed,
-                engine="reference",
             ).run(6)
-            assert _nan_safe(_canonical(res)) == _nan_safe(_canonical(solo))
+            assert canonical_run(res) == canonical_run(solo)

@@ -6,12 +6,13 @@ memoisation) must be bit-identical to the scalar reference frozen in
 ``RunResult``. These tests pin that contract at every layer:
 
 * the queueing simulator's per-epoch recurrence (arrivals, starts,
-  completions, callback order, backlog handling);
+  completions, backlog handling);
 * the placers on seeded random contexts, including ``allowed_banks``
   filters and zero-size requests (Hypothesis);
 * placement memoisation semantics (static contexts hit, any real size
   change misses);
-* a small end-to-end :class:`~repro.model.system.SystemModel` run.
+* a small end-to-end :class:`~repro.model.system.SystemModel` run
+  against :class:`~repro.model.reference.ReferenceSystemModel`.
 """
 
 import dataclasses
@@ -24,8 +25,11 @@ from repro.config import RECONFIG_INTERVAL_CYCLES
 from repro.core.designs import make_design
 from repro.core.jigsaw import place_sizes_near_tiles
 from repro.core.jumanji import jumanji_placer
+from repro.errors import ConfigError
+from repro.model.api import run_model
 from repro.model.reference import (
     ReferenceLcRequestSimulator,
+    ReferenceSystemModel,
     reference_jumanji_placer,
     reference_place_sizes_near_tiles,
 )
@@ -33,7 +37,7 @@ from repro.model.system import SystemModel
 from repro.model.workload import make_default_workload
 from repro.sim.queueing import LcRequestSimulator
 
-from .helpers import synthetic_context
+from .helpers import canonical_run, sim_state, synthetic_context
 from .test_placer_properties import random_context
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -42,14 +46,6 @@ EPOCH = RECONFIG_INTERVAL_CYCLES
 
 
 # -- queueing ---------------------------------------------------------------
-
-
-def _sim_state(sim):
-    return (
-        sim._server_free_at,
-        sim._next_arrival,
-        tuple(sim._backlog),
-    )
 
 
 def _run_pair(qps, cv, seed, schedule, max_backlog=None):
@@ -64,18 +60,10 @@ def _run_pair(qps, cv, seed, schedule, max_backlog=None):
         qps=qps, service_cv=cv, seed=seed, **kwargs
     )
     for epoch_cycles, service in schedule:
-        fast_calls, ref_calls = [], []
-        rf = fast.run_epoch(
-            epoch_cycles, service, on_complete=fast_calls.append
-        )
-        rr = ref.run_epoch(
-            epoch_cycles, service, on_complete=ref_calls.append
-        )
-        assert rf.latencies_cycles == rr.latencies_cycles
-        assert fast_calls == ref_calls
-        assert rf.completed == rr.completed
-        assert rf.final_queue_depth == rr.final_queue_depth
-        assert _sim_state(fast) == _sim_state(ref)
+        rf = fast.run_epoch(epoch_cycles, service)
+        rr = ref.run_epoch(epoch_cycles, service)
+        assert rf == rr
+        assert sim_state(fast)[:4] == sim_state(ref)[:4]
     return fast, ref
 
 
@@ -208,12 +196,9 @@ class TestPlacerEquivalence:
 # -- placement memoisation ---------------------------------------------------
 
 
-def _model(design_name, engine="fast", **kwargs):
+def _model(design_name, model_cls=SystemModel):
     workload = make_default_workload(["xapian"], mix_seed=1)
-    return SystemModel(
-        make_design(design_name), workload, seed=2, engine=engine,
-        **kwargs,
-    )
+    return model_cls(make_design(design_name), workload, seed=2)
 
 
 class TestPlacementMemoisation:
@@ -254,7 +239,7 @@ class TestPlacementMemoisation:
                 assert not rec.memo_hit
 
     def test_reference_engine_disables_memoisation(self):
-        model = _model("Static", engine="reference")
+        model = _model("Static", ReferenceSystemModel)
         model.run(4)
         assert model.runtime.memo_hits == 0
         assert model.runtime.memo_misses == 0
@@ -279,34 +264,14 @@ class TestPlacementMemoisation:
 # -- end to end --------------------------------------------------------------
 
 
-def _canonical(result):
-    return (
-        result.design,
-        result.load,
-        result.warmup_epochs,
-        sorted(result.lc_deadlines.items()),
-        sorted(result.lc_all_latencies.items()),
-        [
-            (
-                e.epoch,
-                sorted(e.lc_tails.items()),
-                sorted(e.lc_sizes.items()),
-                sorted(e.batch_ipcs.items()),
-                e.vulnerability,
-                sorted(vars(e.energy).items()),
-            )
-            for e in result.epochs
-        ],
-    )
-
-
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("design", ["Static", "Jigsaw", "Jumanji"])
     def test_system_model_fast_matches_reference(self, design):
-        fast = _model(design, engine="fast").run(5)
-        ref = _model(design, engine="reference").run(5)
-        assert _canonical(fast) == _canonical(ref)
+        fast = _model(design).run(5)
+        ref = _model(design, ReferenceSystemModel).run(5)
+        assert canonical_run(fast) == canonical_run(ref)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            _model("Static", engine="scalar")
+        workload = make_default_workload(["xapian"], mix_seed=1)
+        with pytest.raises(ConfigError, match="engine"):
+            run_model(design="Static", workload=workload, engine="scalar")

@@ -9,10 +9,7 @@ must raise :class:`~repro.errors.ConfigError` naming the offender.
 import pytest
 
 from repro.config import Engine, Settings, SystemConfig
-from repro.core.designs import make_design
 from repro.errors import ConfigError
-from repro.model.system import SystemModel
-from repro.model.workload import make_default_workload
 from repro.sim.shard import run_tracesim_cell
 
 from .helpers import synthetic_context
@@ -109,8 +106,8 @@ class TestEngine:
         assert "'reference'" in str(info.value)
 
     def test_validate_rejects_unknown_naming_source(self):
-        with pytest.raises(ConfigError, match="SystemModel"):
-            Engine.validate("turbo", source="SystemModel")
+        with pytest.raises(ConfigError, match="run_model"):
+            Engine.validate("turbo", source="run_model")
         # ConfigError subclasses ValueError, so seed-era except clauses
         # and pytest.raises(ValueError) both still hold.
         with pytest.raises(ValueError, match="engine"):
@@ -128,15 +125,6 @@ class TestEngine:
                 apps=ctx.apps,
                 lat_sizes=dict(ctx.lat_sizes),
                 engine="turbo",
-            )
-
-    def test_system_model_validates_engine(self):
-        workload = make_default_workload(
-            ["xapian"], mix_seed=0, load="high"
-        )
-        with pytest.raises(ConfigError, match="engine"):
-            SystemModel(
-                make_design("Static"), workload, engine="turbo"
             )
 
     def test_tracesim_cell_validates_engine(self):
