@@ -9,14 +9,15 @@ Commands:
   paper's claims (exit 1 if any fails)
 * ``figure <name>``        — regenerate and print one artifact
 * ``fleet run``            — rack-scale fleet simulation over many chips
-* ``bench --suite <name>`` — gated benchmark suites
-  (:data:`repro.bench.SUITES`): ``tracesim``, ``model`` and ``obs``;
-  each writes ``BENCH_<name>.json``
 * ``serve run``            — placement-as-a-service HTTP daemon
   (:mod:`repro.serve`); ``serve loadgen`` drives it with N synthetic
   tenants and prints throughput/latency
 * ``deadline <app>``       — print an LC app's computed deadline
 * ``obs summarize <trace>`` — summarize a captured observability trace
+
+Timing is not a ``repro`` command: the ``bench`` package at the
+repository root times what users run end to end
+(``python3 -m bench run --workload W``).
 
 ``run``, ``reproduce``, ``figure`` and ``fleet run`` accept
 ``--trace-out`` / ``--metrics-out`` (defaults: the ``REPRO_TRACE`` /
@@ -180,13 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the canonical fleet stats JSON to PATH",
     )
     _add_obs_outputs(frun)
-
-    from .bench import SUITES, add_bench_arguments
-
-    bench = sub.add_parser(
-        "bench", help="gated benchmark suites: " + ", ".join(SUITES)
-    )
-    add_bench_arguments(bench)
 
     serve = sub.add_parser(
         "serve",
@@ -529,10 +523,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _with_obs_outputs(args, _cmd_figure)
     if args.command == "fleet":
         return _with_obs_outputs(args, _cmd_fleet)
-    if args.command == "bench":
-        from .bench import cmd_bench
-
-        return cmd_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "deadline":

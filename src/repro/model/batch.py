@@ -287,11 +287,6 @@ class BatchSystemModel:
     # -- bookkeeping ------------------------------------------------------------------
 
     @property
-    def memo_hits(self) -> int:
-        """Whole-placement memo hits across all mixes."""
-        return sum(m.runtime.memo_hits for m in self.models)
-
-    @property
     def subepoch_hits(self) -> int:
         """Sub-epoch (per-app descriptor) memo hits across all mixes."""
         return sum(m.runtime.subepoch_hits for m in self.models)

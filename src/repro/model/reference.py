@@ -3,17 +3,14 @@
 This module preserves the scalar implementations of the epoch engine's
 hot paths exactly as they existed before the vectorised fast path
 replaced them in ``repro.sim.queueing`` and the ``repro.core`` placers.
-It exists for two reasons (the same pattern as
-:mod:`repro.sim.reference` for the trace simulator):
-
-* **Equivalence testing.** The fast path must be bit-identical to this
-  code: the same request latencies, the same allocation matrices, the
-  same controller decisions. Property tests drive both implementations
-  with the same seeds/contexts and compare every observable
-  (``tests/test_model_reference.py``).
-* **Benchmarking.** ``repro bench --suite model`` times the batched
-  engine against :class:`ReferenceSystemModel` over the fig13 epoch
-  loop and reports the speedup in ``BENCH_model.json``.
+It exists for equivalence testing (the same pattern as
+:mod:`repro.sim.reference` for the trace simulator): the fast path must
+be bit-identical to this code — the same request latencies, the same
+allocation matrices, the same controller decisions. Property tests
+drive both implementations with the same seeds/contexts and compare
+every observable (``tests/test_model_reference.py``, and the ragged
+batch tests in ``tests/test_model_batch.py`` for every registered
+design).
 
 Two deliberate deviations from the historical code are part of the
 engine change and documented in :mod:`repro.sim.queueing`:

@@ -75,7 +75,6 @@ __all__ = [
     "RunResult",
     "SystemModel",
     "compute_deadline_cycles",
-    "deadline_cache_info",
 ]
 
 
@@ -83,7 +82,8 @@ __all__ = [
 # and sweeps only ever use a handful of combinations, but a long-lived
 # driver process sweeping router delays or seeds should not grow this
 # without limit. 256 entries is two orders of magnitude above any
-# current sweep's working set; the bench suite asserts the bound holds.
+# current sweep's working set. ``tests/test_system_model.py`` asserts
+# the bound is set.
 @functools.lru_cache(maxsize=256)
 def _deadline_cached(
     lc_name: str, seed: int, epochs: int, router_delay: int
@@ -129,15 +129,6 @@ def compute_deadline_cycles(
     """Deadline per the paper's methodology: tail latency in isolation at
     high load with four LLC ways under way-partitioning (S-NUCA)."""
     return _deadline_cached(lc_name, seed, epochs, router_delay)
-
-
-def deadline_cache_info():
-    """``cache_info()`` of the deadline memo.
-
-    The bench suite asserts the cache is bounded (``maxsize`` set) so a
-    long-lived sweep driver cannot grow it without limit.
-    """
-    return _deadline_cached.cache_info()
 
 
 @dataclass

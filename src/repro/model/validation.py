@@ -21,20 +21,18 @@ sweeps (DESIGN.md Sec. 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..cache.misscurve import MissCurve
 from ..cache.umon import Umon
 from ..config import SystemConfig
-from ..runner import Cell, SweepRunner, register_cell_kind
 from ..sim.tracesim import TraceSimulator
 from ..vtb.vtb import DESCRIPTOR_ENTRIES, PlacementDescriptor
-from ..workloads.traces import AddressTrace, trace_from_spec
+from ..workloads.traces import AddressTrace
 
 __all__ = [
     "measure_umon_curve",
     "umon_matches_trace",
-    "umon_validation_suite",
     "placement_agreement",
     "ValidationReport",
 ]
@@ -132,61 +130,6 @@ def umon_matches_trace(
     return ValidationReport(
         umon_miss_fraction=predicted, trace_miss_rate=measured
     )
-
-
-@register_cell_kind("umon_validation")
-def _umon_validation_cell(
-    trace_spec: Dict[str, object],
-    accesses: int,
-    allocation_ways: int,
-    num_sets: int,
-) -> Dict[str, float]:
-    """One UMON-vs-trace comparison as a sweep cell.
-
-    The trace arrives as a :func:`~repro.workloads.traces.trace_from_spec`
-    spec so the cell's cache identity is plain JSON; the factory is
-    rebuilt from it for each of the two measurements (they must see the
-    same stream).
-    """
-    report = umon_matches_trace(
-        lambda: trace_from_spec(trace_spec),
-        accesses=accesses,
-        allocation_ways=allocation_ways,
-        num_sets=num_sets,
-    )
-    return {
-        "umon_miss_fraction": report.umon_miss_fraction,
-        "trace_miss_rate": report.trace_miss_rate,
-    }
-
-
-def umon_validation_suite(
-    trace_specs: Sequence[Dict[str, object]],
-    accesses: int = 30_000,
-    allocation_ways: int = 16,
-    num_sets: int = 64,
-    jobs: Optional[int] = None,
-) -> List[ValidationReport]:
-    """Run :func:`umon_matches_trace` for many traces as parallel cells.
-
-    Each spec is an independent simulation, so the suite shards over the
-    sweep-runner pool and memoises in the content-addressed cache;
-    results come back in spec order, identical to a serial run.
-    """
-    cells = [
-        Cell(
-            "umon_validation",
-            {
-                "trace_spec": spec,
-                "accesses": accesses,
-                "allocation_ways": allocation_ways,
-                "num_sets": num_sets,
-            },
-        )
-        for spec in trace_specs
-    ]
-    rows = SweepRunner(jobs=jobs).map(cells)
-    return [ValidationReport(**row) for row in rows]
 
 
 def placement_agreement(

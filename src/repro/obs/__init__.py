@@ -5,8 +5,8 @@ reacts; this package makes the reproduction of that loop observable the
 same way a production deployment would be:
 
 * :func:`span` — nested timed sections (wall + CPU time, self-time)
-  around epoch ticks, controller updates, each placer stage, sweep-cell
-  dispatch, and trace-sim shards;
+  around epoch ticks, controller updates, each placer stage and
+  sweep-cell dispatch;
 * :func:`emit` — structured one-line JSON events (the single successor
   to the old scattered ``log_event`` call paths), counted into the
   metrics registry and recorded into the trace when collection is on;
@@ -20,8 +20,9 @@ same way a production deployment would be:
 Cost contract: everything is **zero-cost when disabled**. One
 module-level flag guards every entry point; ``span()`` returns a shared
 no-op singleton, and the metric helpers return before touching the
-registry. ``repro bench --suite obs`` gates the disabled-mode overhead
-at <2% on the model suite.
+registry. No benchmark workload turns collection on, so a cost in the
+disabled hooks shows up in the end-to-end timings of ``python3 -m
+bench``.
 
 Determinism contract: span timings exist only in trace output, which is
 never golden-compared; the metrics registry holds only values the
@@ -31,12 +32,11 @@ produce identical snapshots.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import os
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigError
 from .metrics import (
@@ -66,7 +66,6 @@ __all__ = [
     "reset",
     "span",
     "summarize",
-    "uninstrumented",
 ]
 
 _LOGGER = logging.getLogger("repro.obs")
@@ -386,50 +385,6 @@ def absorb_events(records: Optional[List[Dict[str, Any]]]) -> None:
     """Merge records shipped back from a worker (parent side)."""
     if _STATE.enabled and records:
         _STATE.events.extend(records)
-
-
-# --------------------------------------------------------------------------
-# Overhead measurement support (used by repro bench --suite obs)
-# --------------------------------------------------------------------------
-
-
-@contextlib.contextmanager
-def uninstrumented() -> Iterator[None]:
-    """Temporarily swap the instrumentation entry points for bare no-ops.
-
-    Exists solely so the bench suite can measure what the disabled-mode
-    guards themselves cost: the instrumented code path (flag checks,
-    no-op span) is timed against the same run with ``obs.span`` /
-    ``obs.counter_inc`` / ... replaced by constant functions. Not for
-    production use.
-    """
-
-    def _noop_span(name: str, **args: Any) -> _NoopSpan:
-        return _NOOP_SPAN
-
-    def _noop(*args: Any, **kwargs: Any) -> None:
-        return None
-
-    def _false() -> bool:
-        return False
-
-    saved = {
-        "span": span,
-        "counter_inc": counter_inc,
-        "gauge_set": gauge_set,
-        "observe": observe,
-        "is_enabled": is_enabled,
-    }
-    module = globals()
-    module["span"] = _noop_span
-    module["counter_inc"] = _noop
-    module["gauge_set"] = _noop
-    module["observe"] = _noop
-    module["is_enabled"] = _false
-    try:
-        yield
-    finally:
-        module.update(saved)
 
 
 from .exporters import load_trace  # noqa: E402  (exporters import obs types)

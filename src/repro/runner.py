@@ -393,11 +393,10 @@ def register_cell_kind(
 
 def _handler_for(kind: str) -> Callable[..., Any]:
     if kind not in _CELL_KINDS:
-        # Built-in handlers live in the experiment, attack, shard and
-        # validation modules; importing registers them all.
+        # Built-in handlers live in the experiment and attack modules;
+        # importing registers them all.
         from . import experiments  # noqa: F401
-        from .model import validation  # noqa: F401
-        from .sim import attack, shard  # noqa: F401
+        from .sim import attack  # noqa: F401
     try:
         return _CELL_KINDS[kind]
     except KeyError:
@@ -672,15 +671,14 @@ class RetryPolicy:
 
 @dataclass
 class CellStats:
-    """What one or more ``map`` calls did (for ``repro bench``)."""
+    """What one or more ``map`` calls did."""
 
     cells: int = 0
     computed: int = 0
     cache_hits: int = 0
     wall_seconds: float = 0.0
     #: Sum of per-cell compute durations — what a serial, cache-less
-    #: run would have cost. ``serial_seconds / wall_seconds`` is the
-    #: sweep's speedup versus that serial baseline.
+    #: run would have cost.
     serial_seconds: float = 0.0
     #: Cell attempts beyond the first (crash/timeout/error recovery).
     retries: int = 0
@@ -690,18 +688,6 @@ class CellStats:
     pool_respawns: int = 0
     #: Cells completed in degraded serial mode (unhealthy pool).
     degraded_cells: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of cells served from the cache."""
-        return self.cache_hits / self.cells if self.cells else 0.0
-
-    @property
-    def speedup_vs_serial(self) -> float:
-        """Serial-estimate time over actual wall time."""
-        if self.wall_seconds <= 0:
-            return float("inf") if self.serial_seconds > 0 else 1.0
-        return self.serial_seconds / self.wall_seconds
 
     def absorb(self, other: "CellStats") -> None:
         """Accumulate another stats record into this one, in place."""
@@ -714,22 +700,6 @@ class CellStats:
         self.quarantined += other.quarantined
         self.pool_respawns += other.pool_respawns
         self.degraded_cells += other.degraded_cells
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly view (used by ``repro bench`` reports)."""
-        return {
-            "cells": self.cells,
-            "computed": self.computed,
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": self.cache_hit_rate,
-            "wall_seconds": self.wall_seconds,
-            "serial_seconds_estimate": self.serial_seconds,
-            "speedup_vs_serial": self.speedup_vs_serial,
-            "retries": self.retries,
-            "quarantined": self.quarantined,
-            "pool_respawns": self.pool_respawns,
-            "degraded_cells": self.degraded_cells,
-        }
 
 
 #: When set (see :func:`collecting_stats`), every ``SweepRunner.map``

@@ -3,19 +3,13 @@
 This module preserves the original per-access, list-based implementation
 of the private caches, the LLC bank, and the trace-driven core loop
 exactly as it existed before the array-backed fast path replaced it in
-``repro.sim.tracesim`` / ``repro.cache.bank``. It exists for two
-reasons:
-
-* **Equivalence testing.** The fast path must be access-for-access
-  bit-identical to this code: same hits, misses, evictions, port waits,
-  NoC hops, and ``TraceStats``. Property tests drive both
-  implementations with the same streams and compare every observable
-  (``tests/test_fastpath_equivalence.py``), and the golden fixture in
-  ``tests/golden_tracesim.json`` was generated from this reference.
-* **Benchmarking.** ``repro bench --suite tracesim`` times the fast
-  path against this scalar baseline and reports the speedup in
-  ``BENCH_tracesim.json``; the acceptance bar for the fast path is a
-  >= 5x accesses/sec advantage with identical aggregate statistics.
+``repro.sim.tracesim`` / ``repro.cache.bank``. It exists for
+equivalence testing: the fast path must be access-for-access
+bit-identical to this code — same hits, misses, evictions, port waits,
+NoC hops, and ``TraceStats``. Property tests drive both
+implementations with the same streams and compare every observable
+(``tests/test_fastpath_equivalence.py``), and the golden fixture in
+``tests/golden_tracesim.json`` was generated from this reference.
 
 Nothing here should be optimised: slow-and-obvious is the point.
 """

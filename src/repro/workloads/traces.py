@@ -221,12 +221,11 @@ class MixedTrace(AddressTrace):
 class ReplayTrace(AddressTrace):
     """Replays a pregenerated list of line addresses, wrapping around.
 
-    Used by the tracesim benchmark (and anywhere two simulators must see
-    byte-identical streams without paying generation twice): materialise
-    a stream once with any generator's :meth:`~AddressTrace.lines`, then
-    hand each simulator its own ``ReplayTrace``. :meth:`lines` is an
-    O(count) slice, so replay adds almost nothing to the measured
-    simulator time.
+    For anywhere two simulators must see byte-identical streams without
+    paying generation twice: materialise a stream once with any
+    generator's :meth:`~AddressTrace.lines`, then hand each simulator
+    its own ``ReplayTrace``. :meth:`lines` is an O(count) slice, so
+    replay adds almost nothing to the simulator's time.
     """
 
     def __init__(self, lines: Sequence[int]):

@@ -23,6 +23,7 @@ class TestParser:
         ["figure", "fig13", "--mixes", "2"],
         ["figure", "fig13", "--epochs", "2"],
         ["report"],
+        ["bench", "--suite", "model"],
     ])
     def test_only_named_scales(self, argv):
         with pytest.raises(SystemExit):
@@ -72,6 +73,14 @@ class TestCommands:
     def test_figure_fig11(self, capsys):
         assert main(["figure", "fig11"]) == 0
         assert "port attack" in capsys.readouterr().out
+
+    def test_figure_command_accepts_jobs(self, capsys, tmp_path,
+                                         monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(
+            ["figure", "fig18", "--scale", "smoke", "--jobs", "1"]
+        ) == 0
+        assert "Fig. 18" in capsys.readouterr().out
 
     def test_figure_fig5_small(self, capsys):
         assert main(["figure", "fig5", "--scale", "smoke"]) == 0

@@ -10,6 +10,7 @@ seeded streams and compares every observable.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,17 +125,26 @@ def _trace_spec(core: int, seed: int):
 
 
 class TestSimulatorEquivalence:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SystemConfig(),
+            SystemConfig(
+                num_cores=4, mesh_cols=2, mesh_rows=2, num_mem_ctrls=4
+            ),
+        ],
+        ids=["default", "mesh2x2"],
+    )
     @given(
         seed=st.integers(0, 10_000),
         rounds=st.integers(40, 400),
     )
     @settings(max_examples=10, deadline=None)
-    def test_trace_stats_match_reference(self, seed, rounds):
-        config = SystemConfig()
+    def test_trace_stats_match_reference(self, config, seed, rounds):
         sims = []
         for cls in (TraceSimulator, ReferenceTraceSimulator):
             sim = cls(config, bank_sets=64)
-            for core in range(6):
+            for core in range(min(6, config.num_cores)):
                 banks = [
                     (core * 3 + off) % config.num_banks
                     for off in range(3)

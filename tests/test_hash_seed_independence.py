@@ -6,7 +6,8 @@ command, and the result cache (keyed on inputs and code, not on the
 hash seed) would then hold cells from both orders. Each subprocess
 below prints digests of canonical outputs — one mix of every Fig. 13
 design on both engines, an 8-chip fleet, a 4-tenant placement-service
-replay and one trace-simulator cell — under its own ``PYTHONHASHSEED``.
+replay and one 8-core trace-simulator run — under its own
+``PYTHONHASHSEED``.
 """
 
 import os
@@ -26,7 +27,9 @@ from repro.model.api import run_model
 from repro.model.workload import make_default_workload
 from repro.serve.loadgen import build_scripts
 from repro.serve.service import PlacementService
-from repro.sim.shard import run_tracesim_cell
+from repro.sim.tracesim import TraceSimulator
+from repro.vtb.vtb import DESCRIPTOR_ENTRIES, PlacementDescriptor
+from repro.workloads.traces import ZipfTrace
 
 
 def digest(text):
@@ -56,13 +59,20 @@ for script in build_scripts(tenants=4, requests=4, seed=0):
         fingerprints.append(decision.fingerprint())
 print("serve", digest("\n".join(fingerprints)))
 
-trace = {"kind": "zipf", "num_lines": 2000, "alpha": 0.9}
-cores = [
-    {"core_id": c, "trace": {**trace, "seed": c, "base_line": c << 32},
-     "banks": [(c % 4) * 5 + b for b in range(5)], "partition": f"app{c}"}
-    for c in range(8)
-]
-print("tracesim", digest(repr(run_tracesim_cell(cores, 300, 64))))
+sim = TraceSimulator(bank_sets=64)
+for c in range(8):
+    banks = [(c % 4) * 5 + b for b in range(5)]
+    sim.add_core(
+        c,
+        ZipfTrace(2000, alpha=0.9, seed=c, base_line=c << 32),
+        vc_id=c,
+        descriptor=PlacementDescriptor(
+            [banks[i % len(banks)] for i in range(DESCRIPTOR_ENTRIES)]
+        ),
+        partition=f"app{c}",
+    )
+sim.run(300)
+print("tracesim", digest(repr(sim.stats())))
 """
 
 

@@ -109,19 +109,6 @@ class TestSpans:
             pass
         assert obs.events()[-1]["depth"] == 0
 
-    def test_uninstrumented_swaps_and_restores(self):
-        obs.configure(enabled=True)
-        real_span = obs.span
-        with obs.uninstrumented():
-            assert not obs.is_enabled()
-            with obs.span("invisible"):
-                pass
-            obs.counter_inc("invisible")
-        assert obs.span is real_span
-        assert obs.is_enabled()
-        assert obs.events() == []
-        assert obs.metrics().snapshot()["counters"] == {}
-
 
 # --------------------------------------------------------------------------
 # events

@@ -156,7 +156,7 @@ class TestCacheInvalidation:
 
 
 class TestShardedSimCells:
-    """The attack / validation / tracesim cell kinds shard losslessly."""
+    """The attack cell kinds shard losslessly."""
 
     @pytest.fixture(autouse=True)
     def _isolated_cache(self, tmp_path, monkeypatch):
@@ -193,54 +193,3 @@ class TestShardedSimCells:
         attack, baseline = run_port_attack_sharded(cfg, jobs=2)
         assert attack == run_port_attack(cfg, include_victim=True)
         assert baseline == run_port_attack(cfg, include_victim=False)
-
-    def test_umon_validation_suite_matches_direct(self):
-        from repro.model.validation import (
-            umon_matches_trace,
-            umon_validation_suite,
-        )
-        from repro.workloads.traces import trace_from_spec
-
-        specs = [
-            {"kind": "zipf", "num_lines": 1024, "alpha": 0.9, "seed": s}
-            for s in range(2)
-        ]
-        suite = umon_validation_suite(specs, accesses=2000, jobs=2)
-        for spec, report in zip(specs, suite):
-            direct = umon_matches_trace(
-                lambda: trace_from_spec(spec), accesses=2000
-            )
-            assert report.umon_miss_fraction == direct.umon_miss_fraction
-            assert report.trace_miss_rate == direct.trace_miss_rate
-
-    def test_tracesim_runs_shard_and_cache(self):
-        from repro.sim.shard import run_tracesim_cell, shard_tracesim_runs
-
-        specs = [
-            {
-                "cores": [
-                    {
-                        "core_id": c,
-                        "trace": {
-                            "kind": "working_set",
-                            "working_set_lines": 2000,
-                            "seed": seed * 10 + c,
-                            "base_line": c << 32,
-                        },
-                        "banks": [c % 4],
-                        "partition": f"app{c}",
-                    }
-                    for c in range(3)
-                ],
-                "rounds": 800,
-                "bank_sets": 64,
-            }
-            for seed in range(2)
-        ]
-        results, runner = shard_tracesim_runs(specs, jobs=2)
-        assert results == [run_tracesim_cell(**s) for s in specs]
-        assert runner.stats.computed == 2
-        # Warm rerun: both runs served from the cache, same values.
-        warm, warm_runner = shard_tracesim_runs(specs, jobs=2)
-        assert warm == results
-        assert warm_runner.stats.cache_hits == 2

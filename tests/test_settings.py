@@ -8,9 +8,8 @@ must raise :class:`~repro.errors.ConfigError` naming the offender.
 
 import pytest
 
-from repro.config import Engine, Settings, SystemConfig
+from repro.config import Engine, Settings
 from repro.errors import ConfigError
-from repro.sim.shard import run_tracesim_cell
 
 from .helpers import synthetic_context
 
@@ -126,45 +125,3 @@ class TestEngine:
                 lat_sizes=dict(ctx.lat_sizes),
                 engine="turbo",
             )
-
-    def test_tracesim_cell_validates_engine(self):
-        spec = {
-            "core_id": 0,
-            "trace": {
-                "kind": "zipf",
-                "num_lines": 64,
-                "alpha": 0.9,
-                "seed": 1,
-            },
-            "banks": [0],
-        }
-        with pytest.raises(ConfigError, match="tracesim_run"):
-            run_tracesim_cell([spec], rounds=1, engine="turbo")
-
-    def test_tracesim_cell_engines_agree(self):
-        config = SystemConfig(
-            num_cores=4, mesh_cols=2, mesh_rows=2, num_mem_ctrls=4
-        )
-        import dataclasses
-
-        specs = [
-            {
-                "core_id": core,
-                "trace": {
-                    "kind": "zipf",
-                    "num_lines": 256,
-                    "alpha": 0.9,
-                    "seed": core + 1,
-                },
-                "banks": [core],
-            }
-            for core in range(2)
-        ]
-        kwargs = dict(
-            rounds=200,
-            config=dataclasses.asdict(config),
-            bank_sets=16,
-        )
-        fast = run_tracesim_cell(specs, engine="fast", **kwargs)
-        ref = run_tracesim_cell(specs, engine="reference", **kwargs)
-        assert fast == ref

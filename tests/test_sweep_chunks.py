@@ -180,12 +180,21 @@ class TestChunkedMap:
 
 def _sibling_failure_plan(site, cells):
     """A plan under which, at attempt 0, some cell of the first chunk
-    fails at ``site`` while a sibling does not."""
+    fails at ``site`` while a sibling does not, and every cell gets
+    through within :func:`_fast_policy`'s retries.
+
+    Cell keys carry the code fingerprint, so without the last condition
+    a source edit can pick a plan that fails one cell on every attempt.
+    """
     keys = [cell_key(c) for c in cells]
+    attempts = range(_fast_policy().retries + 1)
     for seed in range(200):
         plan = FaultPlan(seed=seed, **{site: 0.4})
         fired = [plan.fires(site, k, 0) for k in keys]
-        if any(fired) and not all(fired):
+        clears = all(
+            not all(plan.fires(site, k, a) for a in attempts) for k in keys
+        )
+        if any(fired) and not all(fired) and clears:
             return plan
     raise AssertionError("no plan seed splits the chunk")
 

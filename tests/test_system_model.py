@@ -38,6 +38,13 @@ class TestDeadlines:
         b = compute_deadline_cycles("xapian")
         assert a == b
 
+    def test_deadline_cache_is_bounded(self):
+        # A long-lived driver sweeping seeds or router delays must not
+        # grow the memo without limit.
+        from repro.model.system import _deadline_cached
+
+        assert _deadline_cached.cache_info().maxsize is not None
+
     def test_deadline_positive_for_all_apps(self):
         for name in ("masstree", "xapian", "img-dnn", "silo", "moses"):
             assert compute_deadline_cycles(name) > 0
